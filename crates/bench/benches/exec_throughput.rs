@@ -1,27 +1,23 @@
-//! Hardware throughput of the executor backends vs. simulator event rate.
+//! Hardware throughput of the executor vs. simulator event rate.
 //!
 //! The headline numbers: aggregate source tuples/s physically pushed
 //! through the executor's threads on a keyed join with selectivity 1.0
 //! (uncapped nodes, zero-delay links, windows sized so the join state
-//! stays hot), swept over shard counts 1/2/4/8 of the sharded backend
-//! next to the thread-per-operator baseline — plus a *large-window*
+//! stays hot), swept over shard counts 1/2/4/8 next to the
+//! thread-per-operator (`shards = 1`) baseline — plus a *large-window*
 //! variant where every probe visits ~a hundred partners, stressing the
 //! zero-copy visitor path. The companion benchmark runs the *simulator*
 //! on the same dataflow, so one report shows model-events/s next to
 //! real tuples/s.
 //!
-//! Match counts are asserted identical across all backends and shard
+//! Match counts are asserted identical across all shard
 //! counts — sharding must never change *what* joins, only how fast.
 //!
 //! Two skewed scenarios ride along: a **single-hot-pair** saturation
 //! case (one pair, one giant window, 128 sub-keys — the workload where
 //! `(window, pair)` routing serializes on one shard and only key-bucket
 //! routing scales) and **Zipfian pair weights** (4 pairs, head pair
-//! ~54 % of traffic). An **async event-loop** sweep closes the file:
-//! the same uniform workload at shard counts up to 32, multiplexed
-//! onto core-count worker threads — the regime where
-//! one-thread-per-shard pays context switches and the M:N backend
-//! does not.
+//! ~54 % of traffic).
 //!
 //! Run with: `cargo bench -p nova-bench --bench exec_throughput`
 
@@ -29,7 +25,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nova_bench::{
     hot_pair_cfg, throughput_cfg, throughput_world, throughput_world_rates, zipf_pair_rates,
 };
-use nova_exec::{AsyncBackend, Backend, BackendKind, ExecConfig, ShardedBackend, ThreadedBackend};
+use nova_exec::{execute, ExecConfig};
 use nova_runtime::{simulate, SimConfig};
 use nova_topology::NodeId;
 
@@ -37,15 +33,13 @@ fn zero_dist(_a: NodeId, _b: NodeId) -> f64 {
     0.0
 }
 
-/// Run one backend pass over zero-delay links.
+/// Run one executor pass over zero-delay links.
 fn run(
-    backend: &dyn Backend,
     t: &nova_topology::Topology,
     df: &nova_runtime::Dataflow,
     cfg: &ExecConfig,
 ) -> nova_exec::ExecResult {
-    let mut dist = zero_dist;
-    backend.run(t, &mut dist, df, cfg)
+    execute(t, zero_dist, df, cfg).expect("bench config is valid")
 }
 
 /// One emission interval per window: each window holds one tuple per
@@ -72,9 +66,9 @@ fn bench_exec_throughput(c: &mut Criterion) {
     let (t, df) = throughput_world(2, rate);
 
     // Measured probe sweep up front for the tuples/s headline: the
-    // threaded baseline, then the sharded backend at 1/2/4/8 shards.
+    // threaded baseline, then 1/2/4/8 shards per instance.
     let base = small_window_cfg(1000.0, rate, 1);
-    let probe = run(&ThreadedBackend, &t, &df, &base);
+    let probe = run(&t, &df, &base);
     println!(
         "exec_throughput[threaded  ]: {} tuples + {} matches in {:>5.0} ms wall \
          -> {:>9.0} tuples/s aggregate through {} threads ({} delivered)",
@@ -87,11 +81,10 @@ fn bench_exec_throughput(c: &mut Criterion) {
     );
     assert!(probe.delivered > 0, "keyed join must deliver outputs");
     for shards in [1usize, 2, 4, 8] {
-        // Both backends share one bootstrap, so the 1-shard row is the
-        // same machinery as the threaded baseline — a sanity anchor
-        // whose delta vs threaded is pure measurement noise.
+        // The 1-shard row repeats the threaded baseline — a sanity
+        // anchor whose delta vs the probe is pure measurement noise.
         let cfg = ExecConfig { shards, ..base };
-        let res = run(&ShardedBackend, &t, &df, &cfg);
+        let res = run(&t, &df, &cfg);
         println!(
             "exec_throughput[{} shard(s)]: {} tuples + {} matches in {:>5.0} ms wall \
              -> {:>9.0} tuples/s aggregate through {} threads",
@@ -115,7 +108,7 @@ fn bench_exec_throughput(c: &mut Criterion) {
     // every size: framing must never change *what* joins.
     for batch_size in [1usize, 2, 7, 64, 1024] {
         let cfg = ExecConfig { batch_size, ..base };
-        let res = run(&ThreadedBackend, &t, &df, &cfg);
+        let res = run(&t, &df, &cfg);
         println!(
             "exec_throughput[threaded, batch {batch_size:>4}]: {} tuples + {} matches \
              in {:>5.0} ms wall -> {:>9.0} tuples/s aggregate",
@@ -131,19 +124,19 @@ fn bench_exec_throughput(c: &mut Criterion) {
     }
 
     group.bench_function("threaded_keyed_join_1.2M", |b| {
-        b.iter(|| run(&ThreadedBackend, &t, &df, std::hint::black_box(&base)))
+        b.iter(|| run(&t, &df, std::hint::black_box(&base)))
     });
     let unbatched = ExecConfig {
         batch_size: 1,
         ..base
     };
     group.bench_function("threaded_batch1_keyed_join_1.2M", |b| {
-        b.iter(|| run(&ThreadedBackend, &t, &df, std::hint::black_box(&unbatched)))
+        b.iter(|| run(&t, &df, std::hint::black_box(&unbatched)))
     });
     for shards in [4usize, 8] {
         let cfg = ExecConfig { shards, ..base };
         group.bench_function(format!("sharded{shards}_keyed_join_1.2M"), |b| {
-            b.iter(|| run(&ShardedBackend, &t, &df, std::hint::black_box(&cfg)))
+            b.iter(|| run(&t, &df, std::hint::black_box(&cfg)))
         });
     }
 
@@ -152,10 +145,10 @@ fn bench_exec_throughput(c: &mut Criterion) {
     let lw_rate = 50_000.0;
     let (lt, ldf) = throughput_world(1, lw_rate);
     let lw_base = large_window_cfg(500.0, lw_rate, 1);
-    let lw_probe = run(&ThreadedBackend, &lt, &ldf, &lw_base);
+    let lw_probe = run(&lt, &ldf, &lw_base);
     for shards in [1usize, 4] {
         let cfg = ExecConfig { shards, ..lw_base };
-        let res = run(&ShardedBackend, &lt, &ldf, &cfg);
+        let res = run(&lt, &ldf, &cfg);
         println!(
             "exec_throughput[large-window, {} shard(s)]: {} tuples + {} matches \
              in {:>5.0} ms wall -> {:>9.0} tuples/s",
@@ -168,21 +161,14 @@ fn bench_exec_throughput(c: &mut Criterion) {
         assert_eq!(res.matched, lw_probe.matched);
     }
     group.bench_function("threaded_large_window_100k", |b| {
-        b.iter(|| run(&ThreadedBackend, &lt, &ldf, std::hint::black_box(&lw_base)))
+        b.iter(|| run(&lt, &ldf, std::hint::black_box(&lw_base)))
     });
     let lw_sharded = ExecConfig {
         shards: 4,
         ..lw_base
     };
     group.bench_function("sharded4_large_window_100k", |b| {
-        b.iter(|| {
-            run(
-                &ShardedBackend,
-                &lt,
-                &ldf,
-                std::hint::black_box(&lw_sharded),
-            )
-        })
+        b.iter(|| run(&lt, &ldf, std::hint::black_box(&lw_sharded)))
     });
 
     // Single-hot-pair saturation: one pair, one giant window spanning
@@ -192,7 +178,7 @@ fn bench_exec_throughput(c: &mut Criterion) {
     let hp_rate = 100_000.0;
     let (ht, hdf) = throughput_world(1, hp_rate);
     let hp_base = hot_pair_cfg(500.0, 128, 1, 1);
-    let hp_probe = run(&ThreadedBackend, &ht, &hdf, &hp_base);
+    let hp_probe = run(&ht, &hdf, &hp_base);
     assert!(hp_probe.delivered > 0, "hot pair must deliver outputs");
     for (shards, buckets) in [(4usize, 1usize), (2, 16), (4, 16), (8, 16)] {
         let cfg = ExecConfig {
@@ -200,7 +186,7 @@ fn bench_exec_throughput(c: &mut Criterion) {
             key_buckets: buckets,
             ..hp_base
         };
-        let res = run(&ShardedBackend, &ht, &hdf, &cfg);
+        let res = run(&ht, &hdf, &cfg);
         println!(
             "exec_throughput[hot-pair, {} shard(s), {} bucket(s)]: {} tuples + {} matches \
              in {:>5.0} ms wall -> {:>9.0} tuples/s (threaded: {:>9.0})",
@@ -219,7 +205,7 @@ fn bench_exec_throughput(c: &mut Criterion) {
         );
     }
     group.bench_function("threaded_hot_pair_200k", |b| {
-        b.iter(|| run(&ThreadedBackend, &ht, &hdf, std::hint::black_box(&hp_base)))
+        b.iter(|| run(&ht, &hdf, std::hint::black_box(&hp_base)))
     });
     for (label, buckets) in [("pr2_routing", 1usize), ("keyed", 16)] {
         let cfg = ExecConfig {
@@ -228,7 +214,7 @@ fn bench_exec_throughput(c: &mut Criterion) {
             ..hp_base
         };
         group.bench_function(format!("sharded4_hot_pair_200k_{label}"), |b| {
-            b.iter(|| run(&ShardedBackend, &ht, &hdf, std::hint::black_box(&cfg)))
+            b.iter(|| run(&ht, &hdf, std::hint::black_box(&cfg)))
         });
     }
 
@@ -240,7 +226,7 @@ fn bench_exec_throughput(c: &mut Criterion) {
         key_space: 64,
         ..throughput_cfg(500.0, 250.0, 0.02, 1)
     };
-    let z_probe = run(&ThreadedBackend, &zt, &zdf, &z_base);
+    let z_probe = run(&zt, &zdf, &z_base);
     assert!(z_probe.delivered > 0, "zipf workload must deliver outputs");
     for (shards, buckets) in [(4usize, 1usize), (4, 16)] {
         let cfg = ExecConfig {
@@ -248,7 +234,7 @@ fn bench_exec_throughput(c: &mut Criterion) {
             key_buckets: buckets,
             ..z_base
         };
-        let res = run(&ShardedBackend, &zt, &zdf, &cfg);
+        let res = run(&zt, &zdf, &cfg);
         println!(
             "exec_throughput[zipf, {} shard(s), {} bucket(s)]: {} tuples + {} matches \
              in {:>5.0} ms wall -> {:>9.0} tuples/s",
@@ -264,47 +250,6 @@ fn bench_exec_throughput(c: &mut Criterion) {
             "keyed sharding changed the zipf match set at \
              {shards} shards / {buckets} buckets"
         );
-    }
-
-    // Async event loop on the uniform workload: S shard tasks on
-    // W = cores worker threads, swept past the core count. Counts stay
-    // pinned to the threaded probe at every (W, S).
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let w = cores.clamp(1, 8);
-    for shards in [1usize, 4, 16, 32] {
-        let cfg = ExecConfig {
-            backend: BackendKind::Async,
-            workers: w,
-            shards,
-            ..base
-        };
-        let res = run(&AsyncBackend, &t, &df, &cfg);
-        println!(
-            "exec_throughput[async W={w}, {shards:>2} task(s)]: {} tuples + {} matches \
-             in {:>5.0} ms wall -> {:>9.0} tuples/s through {} threads",
-            res.emitted,
-            res.matched,
-            res.wall_ms,
-            res.input_tuples_per_wall_s(),
-            res.threads,
-        );
-        assert_eq!(
-            res.matched, probe.matched,
-            "the event loop changed the match set at W={w}, S={shards}"
-        );
-    }
-    for shards in [4usize, 32] {
-        let cfg = ExecConfig {
-            backend: BackendKind::Async,
-            workers: w,
-            shards,
-            ..base
-        };
-        group.bench_function(format!("async_w{w}_s{shards}_keyed_join_1.2M"), |b| {
-            b.iter(|| run(&AsyncBackend, &t, &df, std::hint::black_box(&cfg)))
-        });
     }
 
     // The simulator on the identical dataflow, scaled to a tenth of the

@@ -1,9 +1,9 @@
-//! CI smoke check for executor-backend performance and correctness.
+//! CI smoke check for executor performance and correctness.
 //!
 //! Runs the `exec_throughput` workloads (see
 //! [`nova_bench::throughput_world`]) with short iterations across a
-//! (backend × workers × shards × key-buckets) matrix next to the
-//! thread-per-operator baseline, over four scenarios:
+//! (shards × key-buckets) matrix next to the thread-per-operator
+//! (`shards = 1`, labelled `threaded`) baseline, over five scenarios:
 //!
 //! * **uniform** — 2 equal-rate pairs, one emission interval per
 //!   window: PR 2's workload, unchanged, so the tuples/s trajectory in
@@ -15,14 +15,9 @@
 //! * **zipf** — 4 pairs with Zipfian rates
 //!   ([`nova_bench::zipf_pair_rates`]): skewed pair popularity with a
 //!   keyed workload, count-identity under realistic imbalance;
-//! * **oversubscribed** — the uniform workload with shard counts far
-//!   beyond the core count (e.g. 32 shards on 4 cores): the regime
-//!   where one-OS-thread-per-shard stops scaling and the M:N
-//!   event-loop backend (`AsyncBackend`: S shard tasks on W ≤ cores
-//!   worker threads) is supposed to win;
 //! * **churn** — live reconfiguration (DESIGN.md §7): three mid-window
 //!   epoch barriers per run (join-host failover + rate shifts) applied
-//!   through `ExecHandle::apply` on every backend, gated
+//!   through `ExecHandle::apply` at 1 and 4 shards, gated
 //!   count-identical to the simulator replaying the same pre/post
 //!   plans (`simulate_reconfigured`) on any host, plus a
 //!   stop-the-world handoff-pause gate on ≥ 4 cores;
@@ -34,7 +29,7 @@
 //!   re-place onto the strong host before delivered-latency p99
 //!   doubles, and scale back down within one cooldown after the load
 //!   passes — gated count-identical to the simulator replaying the
-//!   controller's own recorded switch sequence on every backend.
+//!   controller's own recorded switch sequence at every shard count.
 //!   Writes `BENCH_exec_autoscale.json` plus the decision log
 //!   `BENCH_exec_autoscale_decisions.jsonl` (one JSON line per
 //!   snapshot: predicted utilization → chosen action → outcome).
@@ -42,9 +37,8 @@
 //! Gates (a failure fails the CI job loudly):
 //!
 //! * `emitted` / `matched` counts are **identical** across every
-//!   backend, worker, shard and key-bucket count of a scenario, on any
-//!   host — neither sharding nor cooperative scheduling may change
-//!   what joins;
+//!   shard and key-bucket count of a scenario, on any host — sharding
+//!   may not change what joins;
 //! * on hosts with ≥ 4 cores, uniform: `sharded(4)` ≥ 1.5× threaded
 //!   (PR 2's regression wall, byte-identical workload);
 //! * on hosts with ≥ 4 cores, hot-pair: `sharded(4, buckets=16)` ≥
@@ -54,12 +48,6 @@
 //!   bucket routing keeps ≥ 85 % of the buckets=1 4-shard throughput —
 //!   both rows exercise the keyed probe path, so this is the
 //!   keyed-routing-must-not-regress gate;
-//! * on hosts with ≥ 4 cores, oversubscribed: `async(W=cores,
-//!   S=cores)` ≥ 0.9× `sharded(shards=cores)` — the event loop's
-//!   bookkeeping must be nearly free when nothing is oversubscribed —
-//!   and `async(W=cores, S=32)` ≥ 0.95× `sharded(shards=32)` (target
-//!   above 1.0; 5 % runner-noise slack) — where shards ≫ cores, W
-//!   threads must beat 32;
 //! * on any host, churn: `emitted`/`matched`/`delivered` identical to
 //!   the simulator replay, clean epoch splits, live state migrated;
 //!   on ≥ 4 cores additionally handoff p99 ≤ 250 ms;
@@ -74,7 +62,7 @@
 //! Run with: `cargo run --release -p nova-bench --bin bench_exec_smoke`
 //! (`--full` for the benchmark-length 1 s horizon; default 300 ms keeps
 //! the CI job in seconds.
-//! `--scenario uniform|hot-pair|zipf|oversubscribed|churn|autoscale`
+//! `--scenario uniform|hot-pair|zipf|churn|autoscale`
 //! selects one scenario — the CI matrix fans them out — default runs
 //! all.
 //! `--metrics-out <path>` streams every row's live telemetry snapshots
@@ -94,8 +82,8 @@ use nova_bench::{
 use nova_core::baselines::host_based;
 use nova_core::{JoinQuery, StreamSpec};
 use nova_exec::{
-    launch, AutoscaleConfig, AutoscaleReport, Autoscaler, Backend, BackendKind, DecisionRecord,
-    ExecConfig, ExecResult, MetricsSnapshot, Relocator, ThreadedBackend,
+    launch, AutoscaleConfig, AutoscaleReport, Autoscaler, DecisionRecord, ExecConfig, ExecResult,
+    MetricsSnapshot, Relocator,
 };
 use nova_runtime::{percentile, simulate_reconfigured, Dataflow, PlanSwitch};
 use nova_topology::{NodeId, NodeRole, Topology};
@@ -176,41 +164,35 @@ fn measure(
     res
 }
 
-/// One measured run of the matrix. `workers` is 0 for the
-/// thread-per-shard backends (they spawn one thread per shard).
+/// One measured run of the matrix. `row` labels the sweep the run
+/// belongs to: `threaded` (one shard), `threaded-notm` (one shard,
+/// telemetry off) or `sharded`.
 struct Run {
-    backend: &'static str,
-    workers: usize,
+    row: &'static str,
     shards: usize,
     key_buckets: usize,
     batch: usize,
     res: ExecResult,
 }
 
-/// A named workload + config + the sweeps to run: `(shards,
-/// key_buckets)` rows on the sharded backend, `(workers, shards)` rows
-/// on the async event loop.
+/// A named workload + config + the `(shards, key_buckets)` sweep.
 struct Scenario {
     name: &'static str,
     topology: Topology,
     dataflow: Dataflow,
     base: ExecConfig,
     sweep: Vec<(usize, usize)>,
-    async_sweep: Vec<(usize, usize)>,
-    /// `batch_size` values to sweep on the threaded backend (the
+    /// `batch_size` values to sweep at one shard (the
     /// single-worker row isolates the framing cost from parallelism) —
     /// the rows behind the batch-speedup gate.
     batch_sweep: Vec<usize>,
     aggregate_demand: f64,
-    /// The core-count-sized row pair the oversubscription gates
-    /// compare (recorded so the gates and the sweep cannot drift).
-    cores_sized: usize,
     /// Add a `threaded-notm` row (telemetry disabled) next to the
     /// threaded baseline — the pair the metrics-overhead gate divides.
     telemetry_baseline: bool,
 }
 
-fn scenario(name: &str, duration_ms: f64, cores: usize) -> Scenario {
+fn scenario(name: &str, duration_ms: f64) -> Scenario {
     match name {
         // PR 2's workload, byte-identical: 2 keyed pairs at
         // 300 k tuples/s per stream, one emission interval per window,
@@ -224,10 +206,8 @@ fn scenario(name: &str, duration_ms: f64, cores: usize) -> Scenario {
                 dataflow,
                 base: throughput_cfg(duration_ms, 1000.0 / rate, 1.0, 1),
                 sweep: vec![(1, 1), (2, 1), (4, 1), (4, 4), (8, 1), (8, 8)],
-                async_sweep: vec![],
                 batch_sweep: vec![1, 2, 7, 64],
                 aggregate_demand: 4.0 * rate,
-                cores_sized: 0,
                 telemetry_baseline: true,
             }
         }
@@ -242,10 +222,8 @@ fn scenario(name: &str, duration_ms: f64, cores: usize) -> Scenario {
                 dataflow,
                 base: hot_pair_cfg(duration_ms, 128, 1, 1),
                 sweep: vec![(4, 1), (2, 16), (4, 16), (8, 16)],
-                async_sweep: vec![],
                 batch_sweep: vec![],
                 aggregate_demand: 2.0 * rate,
-                cores_sized: 0,
                 telemetry_baseline: false,
             }
         }
@@ -265,38 +243,15 @@ fn scenario(name: &str, duration_ms: f64, cores: usize) -> Scenario {
                 dataflow,
                 base,
                 sweep: vec![(4, 1), (4, 16), (8, 16)],
-                async_sweep: vec![],
                 batch_sweep: vec![],
                 aggregate_demand,
-                cores_sized: 0,
-                telemetry_baseline: false,
-            }
-        }
-        // The uniform workload pushed past the core count: sharded at
-        // shards = cores (its sweet spot) and shards = 32 (one OS
-        // thread per shard, oversubscribed) vs the async event loop at
-        // W = cores with S = cores and S = 32 tasks.
-        "oversubscribed" => {
-            let rate = 300_000.0;
-            let (topology, dataflow) = throughput_world(2, rate);
-            let w = cores.clamp(1, 8);
-            Scenario {
-                name: "oversubscribed",
-                topology,
-                dataflow,
-                base: throughput_cfg(duration_ms, 1000.0 / rate, 1.0, 1),
-                sweep: vec![(w, 1), (32, 1)],
-                async_sweep: vec![(w, w), (w, 32)],
-                batch_sweep: vec![],
-                aggregate_demand: 4.0 * rate,
-                cores_sized: w,
                 telemetry_baseline: false,
             }
         }
         other => {
             eprintln!(
                 "unknown scenario {other:?}: expected uniform | hot-pair | zipf | \
-                 oversubscribed | churn"
+                 churn | autoscale"
             );
             std::process::exit(2);
         }
@@ -308,38 +263,23 @@ fn run_matrix(sc: &Scenario, cap: &mut Capture) -> Vec<Run> {
     // let the scheduler settle, so the first measured run — the threaded
     // baseline the perf gates divide by — is not systematically cold
     // (a cold baseline biases the speedup gates toward passing).
-    {
-        let mut dist = |_a, _b| 0.0;
-        let _ = ThreadedBackend.run(&sc.topology, &mut dist, &sc.dataflow, &sc.base);
-    }
+    let _ = nova_exec::execute(&sc.topology, |_, _| 0.0, &sc.dataflow, &sc.base);
     let mut runs = Vec::new();
-    let row = |runs: &mut Vec<Run>, cap: &mut Capture, backend, workers, cfg: ExecConfig| {
+    let row = |runs: &mut Vec<Run>, cap: &mut Capture, row, cfg: ExecConfig| {
         let label = format!(
-            "{backend}-w{workers}-s{}-b{}-f{}",
-            cfg.shards.max(1),
-            cfg.key_buckets,
-            cfg.batch_size
+            "{row}-s{}-b{}-f{}",
+            cfg.shards, cfg.key_buckets, cfg.batch_size
         );
         let res = measure(&sc.topology, &sc.dataflow, &cfg, sc.name, &label, cap);
         runs.push(Run {
-            backend,
-            workers,
-            shards: cfg.shards.max(1),
+            row,
+            shards: cfg.shards,
             key_buckets: cfg.key_buckets,
             batch: cfg.batch_size,
             res,
         });
     };
-    row(
-        &mut runs,
-        cap,
-        "threaded",
-        0,
-        ExecConfig {
-            backend: BackendKind::Threaded,
-            ..sc.base
-        },
-    );
+    row(&mut runs, cap, "threaded", sc.base);
     if sc.telemetry_baseline {
         // Same workload, instruments left unwired: the denominator of
         // the metrics-overhead gate (and a telemetry-off sanity row —
@@ -353,24 +293,13 @@ fn run_matrix(sc: &Scenario, cap: &mut Capture) -> Vec<Run> {
                 &mut runs,
                 cap,
                 "threaded-notm",
-                0,
                 ExecConfig {
-                    backend: BackendKind::Threaded,
                     telemetry: false,
                     ..sc.base
                 },
             );
             if rep < 2 {
-                row(
-                    &mut runs,
-                    cap,
-                    "threaded",
-                    0,
-                    ExecConfig {
-                        backend: BackendKind::Threaded,
-                        ..sc.base
-                    },
-                );
+                row(&mut runs, cap, "threaded", sc.base);
             }
         }
     }
@@ -379,30 +308,14 @@ fn run_matrix(sc: &Scenario, cap: &mut Capture) -> Vec<Run> {
             &mut runs,
             cap,
             "sharded",
-            0,
             ExecConfig {
-                backend: BackendKind::Sharded,
                 shards,
                 key_buckets,
                 ..sc.base
             },
         );
     }
-    for &(workers, shards) in &sc.async_sweep {
-        row(
-            &mut runs,
-            cap,
-            "async",
-            workers,
-            ExecConfig {
-                backend: BackendKind::Async,
-                workers,
-                shards,
-                ..sc.base
-            },
-        );
-    }
-    // Batch-size sweep on the threaded backend: one worker, no
+    // Batch-size sweep at one shard: one worker, no
     // sharding, so the rows isolate what the frame size buys on the
     // channel + accounting hot path. Count identity across the rows is
     // checked with the rest of the matrix; the batch-speedup gate
@@ -412,9 +325,7 @@ fn run_matrix(sc: &Scenario, cap: &mut Capture) -> Vec<Run> {
             &mut runs,
             cap,
             "threaded",
-            0,
             ExecConfig {
-                backend: BackendKind::Threaded,
                 batch_size,
                 ..sc.base
             },
@@ -423,32 +334,24 @@ fn run_matrix(sc: &Scenario, cap: &mut Capture) -> Vec<Run> {
     runs
 }
 
-/// tuples/s of the (backend, shards, buckets) row of a thread-per-shard
-/// backend. Panics when the row is missing — a gate comparing against
+/// tuples/s of the (row label, shards, buckets) row. Panics when the
+/// row is missing — a gate comparing against
 /// an absent row is a bug in the scenario's sweep, not a
 /// 0.0-throughput measurement.
-fn tput(runs: &[Run], backend: &str, shards: usize, key_buckets: usize) -> f64 {
+fn tput(runs: &[Run], row: &str, shards: usize, key_buckets: usize) -> f64 {
     runs.iter()
-        .find(|r| r.backend == backend && r.shards == shards && r.key_buckets == key_buckets)
+        .find(|r| r.row == row && r.shards == shards && r.key_buckets == key_buckets)
         .map(|r| r.res.input_tuples_per_wall_s())
-        .unwrap_or_else(|| panic!("no {backend}({shards}, buckets={key_buckets}) row in the sweep"))
+        .unwrap_or_else(|| panic!("no {row}({shards}, buckets={key_buckets}) row in the sweep"))
 }
 
 /// tuples/s of the threaded batch-sweep row with the given frame size;
 /// panics like [`tput`].
 fn tput_batch(runs: &[Run], batch: usize) -> f64 {
     runs.iter()
-        .find(|r| r.backend == "threaded" && r.batch == batch)
+        .find(|r| r.row == "threaded" && r.batch == batch)
         .map(|r| r.res.input_tuples_per_wall_s())
         .unwrap_or_else(|| panic!("no threaded(batch={batch}) row in the sweep"))
-}
-
-/// tuples/s of the async (workers, shards) row; panics like [`tput`].
-fn tput_async(runs: &[Run], workers: usize, shards: usize) -> f64 {
-    runs.iter()
-        .find(|r| r.backend == "async" && r.workers == workers && r.shards == shards)
-        .map(|r| r.res.input_tuples_per_wall_s())
-        .unwrap_or_else(|| panic!("no async(W={workers}, S={shards}) row in the sweep"))
 }
 
 fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
@@ -458,27 +361,13 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
         sc.aggregate_demand / 1e6
     );
     println!(
-        "{:<10} {:>7} {:>7} {:>8} {:>6} {:>10} {:>10} {:>9} {:>12} {:>8}",
-        "backend",
-        "workers",
-        "shards",
-        "buckets",
-        "batch",
-        "emitted",
-        "matched",
-        "wall ms",
-        "tuples/s",
-        "threads"
+        "{:<13} {:>7} {:>8} {:>6} {:>10} {:>10} {:>9} {:>12} {:>8}",
+        "row", "shards", "buckets", "batch", "emitted", "matched", "wall ms", "tuples/s", "threads"
     );
     for r in runs {
         println!(
-            "{:<10} {:>7} {:>7} {:>8} {:>6} {:>10} {:>10} {:>9.0} {:>12.0} {:>8}",
-            r.backend,
-            if r.workers == 0 {
-                "-".to_string()
-            } else {
-                r.workers.to_string()
-            },
+            "{:<13} {:>7} {:>8} {:>6} {:>10} {:>10} {:>9.0} {:>12.0} {:>8}",
+            r.row,
             r.shards,
             r.key_buckets,
             r.batch,
@@ -490,8 +379,8 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
         );
     }
 
-    // Correctness: sharding — at any worker, shard AND bucket count —
-    // must never change what joins.
+    // Correctness: sharding — at any shard AND bucket count — must
+    // never change what joins.
     let reference = &runs[0].res;
     assert!(
         reference.delivered > 0,
@@ -500,8 +389,8 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
     );
     for r in &runs[1..] {
         let tag = format!(
-            "{}: {}(workers={}, shards={}, buckets={}, batch={})",
-            sc.name, r.backend, r.workers, r.shards, r.key_buckets, r.batch
+            "{}: {}(shards={}, buckets={}, batch={})",
+            sc.name, r.row, r.shards, r.key_buckets, r.batch
         );
         assert_eq!(
             r.res.matched, reference.matched,
@@ -552,10 +441,10 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
             // robust to scheduler noise, which only slows runs down.
             let best = |name: &str| {
                 // Default-frame rows only: the batch sweep re-uses the
-                // "threaded" backend name with other frame sizes, and a
+                // "threaded" row label with other frame sizes, and a
                 // faster frame must not inflate the instrumented side.
                 runs.iter()
-                    .filter(|r| r.backend == name && r.batch == sc.base.batch_size)
+                    .filter(|r| r.row == name && r.batch == sc.base.batch_size)
                     .map(|r| r.res.input_tuples_per_wall_s())
                     .fold(0.0f64, f64::max)
             };
@@ -578,7 +467,7 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
             if cores >= 4 {
                 assert!(
                     speedup >= 1.5,
-                    "backend perf regression: 4-shard backend only {speedup:.2}× \
+                    "sharding perf regression: 4 shards only {speedup:.2}× \
                      the threaded baseline on a {cores}-core host"
                 );
                 assert!(
@@ -639,58 +528,6 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
                 println!("host has {cores} core(s) < 4: reporting only");
             }
         }
-        "oversubscribed" => {
-            let w = sc.cores_sized;
-            let sharded_at_cores = tput(runs, "sharded", w, 1);
-            let sharded_oversub = tput(runs, "sharded", 32, 1);
-            let async_at_cores = tput_async(runs, w, w);
-            let async_oversub = tput_async(runs, w, 32);
-            let parity = async_at_cores / sharded_at_cores.max(1.0);
-            let oversub = async_oversub / sharded_oversub.max(1.0);
-            println!(
-                "oversubscribed: async(W={w}, S={w})/sharded({w}) = {parity:.2}, \
-                 async(W={w}, S=32)/sharded(32) = {oversub:.2} on {cores} cores \
-                 (sharded(32)/sharded({w}) = {:.2})",
-                sharded_oversub / sharded_at_cores.max(1.0),
-            );
-            if cores >= 4 {
-                // Parity gate: with nothing oversubscribed (S = W =
-                // cores) the event loop's scheduler bookkeeping must
-                // cost at most ~10 % vs dedicated threads.
-                assert!(
-                    parity >= 0.9,
-                    "event-loop overhead too high: async(W={w}, S={w}) only \
-                     {parity:.2}x the {w}-shard thread-per-shard backend \
-                     on a {cores}-core host"
-                );
-                // Oversubscription gate: at 32 shards on w ≤ 8 workers,
-                // W worker threads must beat 32 OS threads — the
-                // regime the backend exists for. Target > 1.0; the CI
-                // bound leaves 5 % for shared-runner jitter on a
-                // 300 ms wall-clock ratio, same philosophy as the
-                // uniform scenario's 1.5× wall (target 2.5×). Only
-                // enforced where the host makes sharded(32) genuinely
-                // oversubscribed: w is clamped to 8, so on > 8-core
-                // machines sharded's 32 threads get more real cores
-                // than async's 8 workers and could legitimately win —
-                // report, don't gate.
-                if cores <= 8 {
-                    assert!(
-                        oversub >= 0.95,
-                        "async failed to win under oversubscription: async(W={w}, S=32) \
-                         only {oversub:.2}x sharded(32) on a {cores}-core host \
-                         (target > 1.0, gate 0.95)"
-                    );
-                } else {
-                    println!(
-                        "host has {cores} cores > 8: sharded(32) is not truly \
-                         oversubscribed vs {w} workers — reporting only"
-                    );
-                }
-            } else {
-                println!("host has {cores} core(s) < 4: reporting only");
-            }
-        }
         // scenario() rejects unknown names before any run starts; a new
         // scenario must declare its own gates here rather than silently
         // inheriting another's against rows its sweep never produced.
@@ -705,11 +542,10 @@ fn write_json(sc: &Scenario, runs: &[Run], cores: usize, duration_ms: f64) {
             entries.push_str(",\n");
         }
         entries.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"workers\": {}, \"shards\": {}, \"key_buckets\": {}, \
+            "    {{\"row\": \"{}\", \"shards\": {}, \"key_buckets\": {}, \
              \"batch\": {}, \"tuples_per_s\": {:.0}, \"wall_ms\": {:.1}, \"emitted\": {}, \
              \"matched\": {}, \"delivered\": {}, \"threads\": {}}}",
-            r.backend,
-            r.workers,
+            r.row,
             r.shards,
             r.key_buckets,
             r.batch,
@@ -729,11 +565,9 @@ fn write_json(sc: &Scenario, runs: &[Run], cores: usize, duration_ms: f64) {
     );
     // The uniform scenario keeps the historical BENCH_exec.json name so
     // the tuples/s trajectory stays comparable across PRs; the others
-    // get a scenario suffix (oversubscribed abbreviated to match the
-    // CI artifact name).
+    // get a scenario suffix.
     let file = match sc.name {
         "uniform" => "BENCH_exec.json".to_string(),
-        "oversubscribed" => "BENCH_exec_oversub.json".to_string(),
         other => format!("BENCH_exec_{}.json", other.replace('-', "_")),
     };
     let path = std::path::Path::new(&file);
@@ -769,8 +603,7 @@ fn churn_world(rates: &[f64]) -> (Topology, JoinQuery, NodeId, NodeId) {
 }
 
 struct ChurnRun {
-    backend: &'static str,
-    workers: usize,
+    row: &'static str,
     shards: usize,
     batch: usize,
     res: ExecResult,
@@ -786,7 +619,7 @@ struct ChurnRun {
 /// "fail" (w1 leaves, everything re-places onto w2 and back) while the
 /// source rates double and revert — three epoch barriers per run, none
 /// window-aligned, so every reconfiguration hands off live mid-window
-/// state. Gated on all hosts: every backend's
+/// state. Gated on all hosts: every row's
 /// `emitted`/`matched`/`delivered` must equal the simulator replaying
 /// the *same* pre/post plans (`nova_runtime::simulate_reconfigured`).
 /// On ≥ 4-core hosts additionally gates the stop-the-world handoff p99.
@@ -848,19 +681,9 @@ fn run_churn(duration_ms: f64, cores: usize, cap: &mut Capture) {
     assert_eq!(sim.dropped, 0, "churn: the replay must stay drop-free");
     assert!(sim.delivered > 0, "churn: the replay must deliver");
 
-    let sweep: [(&'static str, BackendKind, usize, usize); 3] = [
-        ("threaded", BackendKind::Threaded, 1, 0),
-        ("sharded", BackendKind::Sharded, 4, 0),
-        ("async", BackendKind::Async, 4, cores.clamp(1, 8)),
-    ];
     let mut runs = Vec::new();
-    for (name, backend, shards, workers) in sweep {
-        let cfg = ExecConfig {
-            backend,
-            shards,
-            workers,
-            ..base
-        };
+    for (name, shards) in [("threaded", 1usize), ("sharded", 4)] {
+        let cfg = ExecConfig { shards, ..base };
         let mut handle = launch(&topology, |_, _| 0.0, &df0, &cfg).expect("churn config is valid");
         let rx = cap.wants().then(|| {
             handle
@@ -874,7 +697,7 @@ fn run_churn(duration_ms: f64, cores: usize, cap: &mut Capture) {
         }
         let res = handle.join();
         if let Some(rx) = rx {
-            let row = format!("{name}-w{workers}-s{shards}");
+            let row = format!("{name}-s{shards}");
             let mut last = None;
             for snap in rx.iter() {
                 cap.record("churn", &row, &snap);
@@ -894,8 +717,7 @@ fn run_churn(duration_ms: f64, cores: usize, cap: &mut Capture) {
             "churn: {name} lost epoch stats across join"
         );
         runs.push(ChurnRun {
-            backend: name,
-            workers,
+            row: name,
             shards,
             batch: cfg.batch_size,
             res,
@@ -911,30 +733,17 @@ fn run_churn(duration_ms: f64, cores: usize, cap: &mut Capture) {
         aggregate_demand / 1e6
     );
     println!(
-        "{:<10} {:>7} {:>7} {:>10} {:>10} {:>10} {:>10} {:>11} {:>12}",
-        "backend",
-        "workers",
-        "shards",
-        "emitted",
-        "matched",
-        "delivered",
-        "migrated",
-        "pause p99",
-        "handoff p99"
+        "{:<10} {:>7} {:>10} {:>10} {:>10} {:>10} {:>11} {:>12}",
+        "row", "shards", "emitted", "matched", "delivered", "migrated", "pause p99", "handoff p99"
     );
     println!(
-        "{:<10} {:>7} {:>7} {:>10} {:>10} {:>10} {:>10} {:>11} {:>12}",
-        "sim-replay", "-", "-", sim.emitted, sim.matched, sim.delivered, "-", "-", "-"
+        "{:<10} {:>7} {:>10} {:>10} {:>10} {:>10} {:>11} {:>12}",
+        "sim-replay", "-", sim.emitted, sim.matched, sim.delivered, "-", "-", "-"
     );
     for r in &runs {
         println!(
-            "{:<10} {:>7} {:>7} {:>10} {:>10} {:>10} {:>10} {:>9.1}ms {:>10.2}ms",
-            r.backend,
-            if r.workers == 0 {
-                "-".to_string()
-            } else {
-                r.workers.to_string()
-            },
+            "{:<10} {:>7} {:>10} {:>10} {:>10} {:>10} {:>9.1}ms {:>10.2}ms",
+            r.row,
             r.shards,
             r.res.emitted,
             r.res.matched,
@@ -949,7 +758,7 @@ fn run_churn(duration_ms: f64, cores: usize, cap: &mut Capture) {
     write_churn_json(&runs, &sim, cores, duration_ms);
 
     for r in &runs {
-        let tag = format!("churn: {}(shards={})", r.backend, r.shards);
+        let tag = format!("churn: {}(shards={})", r.row, r.shards);
         assert_eq!(r.res.dropped, 0, "{tag} must stay drop-free");
         assert!(
             r.migrated_tuples > 0,
@@ -974,7 +783,7 @@ fn run_churn(duration_ms: f64, cores: usize, cap: &mut Capture) {
             "{tag} diverged from the simulator replay on delivered"
         );
     }
-    println!("counts identical to the simulator replay across every backend ✓");
+    println!("counts identical to the simulator replay at every shard count ✓");
 
     if cores >= 4 {
         let worst = runs.iter().map(|r| r.handoff_p99_ms).fold(0.0f64, f64::max);
@@ -1022,12 +831,11 @@ fn write_churn_json(
             })
             .collect();
         entries.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"workers\": {}, \"shards\": {}, \"batch\": {}, \
+            "    {{\"row\": \"{}\", \"shards\": {}, \"batch\": {}, \
              \"emitted\": {}, \"matched\": {}, \"delivered\": {}, \"wall_ms\": {:.1}, \
              \"tuples_per_s\": {:.0}, \"reconfigs\": 3, \"migrated_tuples\": {}, \"clean_split\": {}, \
              \"pause_p99_ms\": {:.3}, \"handoff_p99_ms\": {:.3}, \"epochs\": [{}]}}",
-            r.backend,
-            r.workers,
+            r.row,
             r.shards,
             r.batch,
             r.res.emitted,
@@ -1146,7 +954,6 @@ enum Inject {
 struct AutoRun {
     profile: &'static str,
     row: String,
-    workers: usize,
     shards0: usize,
     batch: usize,
     report: AutoscaleReport,
@@ -1277,7 +1084,6 @@ fn drive_autoscale(
     AutoRun {
         profile,
         row,
-        workers: cfg.workers,
         shards0: cfg.shards,
         batch: cfg.batch_size,
         report,
@@ -1405,7 +1211,7 @@ fn write_autoscale_json(runs: &[(AutoRun, AutoSummary)], cores: usize, duration_
             entries.push_str(",\n");
         }
         entries.push_str(&format!(
-            "    {{\"profile\": \"{}\", \"row\": \"{}\", \"workers\": {}, \"shards0\": {}, \
+            "    {{\"profile\": \"{}\", \"row\": \"{}\", \"shards0\": {}, \
              \"batch\": {}, \
              \"final_shards\": {}, \"emitted\": {}, \"matched\": {}, \"delivered\": {}, \
              \"dropped\": {}, \"switches\": {}, \"scale_ups\": {}, \"relocations\": {}, \
@@ -1416,7 +1222,6 @@ fn write_autoscale_json(runs: &[(AutoRun, AutoSummary)], cores: usize, duration_
              \"sim_replay\": {{\"emitted\": {}, \"matched\": {}, \"delivered\": {}}}}}",
             r.profile,
             r.row,
-            r.workers,
             r.shards0,
             r.batch,
             s.final_shards,
@@ -1484,7 +1289,7 @@ fn write_autoscale_decisions(runs: &[(AutoRun, AutoSummary)]) {
 }
 
 /// Run the closed-loop elasticity scenario (DESIGN.md §9): the
-/// flash-crowd profile across all three backends, plus one diurnal
+/// flash-crowd profile at 1 and 4 launch shards, plus one diurnal
 /// swell-and-ebb run, each owned by an [`Autoscaler`]. Count identity
 /// against the simulator replaying each controller's recorded switch
 /// sequence gates on any host; the latency and convergence-timing
@@ -1512,19 +1317,9 @@ fn run_autoscale(full: bool, cores: usize, cap: &mut Capture) {
     };
     let policy = autoscale_policy();
 
-    let sweep: [(&'static str, BackendKind, usize, usize); 3] = [
-        ("threaded", BackendKind::Threaded, 1, 0),
-        ("sharded", BackendKind::Sharded, 4, 0),
-        ("async", BackendKind::Async, 4, cores.clamp(1, 8)),
-    ];
     let mut runs: Vec<(AutoRun, AutoSummary)> = Vec::new();
-    for (name, backend, shards, workers) in sweep {
-        let cfg = ExecConfig {
-            backend,
-            shards,
-            workers,
-            ..base
-        };
+    for (name, shards) in [("threaded", 1usize), ("sharded", 4)] {
+        let cfg = ExecConfig { shards, ..base };
         let events = [
             (0.35 * d, Inject::Step(AS_CROWD)),
             (0.62 * d, Inject::Step(1.0)),
@@ -1543,15 +1338,10 @@ fn run_autoscale(full: bool, cores: usize, cap: &mut Capture) {
     }
     // Diurnal: a swell through a non-saturating shoulder (ρ = 0.7 on
     // the weak host — the controller must hold) to the saturating peak
-    // and back down. One backend suffices; the gate is convergence
+    // and back down. One shard count suffices; the gate is convergence
     // (bounded decision count, no post-ebb scale-up), not latency.
     {
-        let cfg = ExecConfig {
-            backend: BackendKind::Async,
-            shards: 4,
-            workers: cores.clamp(1, 8),
-            ..base
-        };
+        let cfg = ExecConfig { shards: 4, ..base };
         // Asymmetric shoulders, because the swell is served by the weak
         // host and the ebb by the strong one (4× the capacity): the
         // swell shoulder must stay clearly below the high-water mark on
@@ -1569,7 +1359,7 @@ fn run_autoscale(full: bool, cores: usize, cap: &mut Capture) {
         // are load the controller is meant to hold through.
         let run = drive_autoscale(
             "diurnal",
-            "async-s4".to_string(),
+            "sharded-s4".to_string(),
             &cfg,
             &sim_cfg,
             &events,
@@ -1714,7 +1504,7 @@ fn run_autoscale(full: bool, cores: usize, cap: &mut Capture) {
             }
         }
     }
-    println!("counts identical to the replayed controller sequence on every backend ✓");
+    println!("counts identical to the replayed controller sequence at every shard count ✓");
     if cores >= 4 {
         println!("scale-up beat the 2x-p99 deadline; scale-down within one cooldown ✓");
     } else {
@@ -1747,20 +1537,13 @@ fn main() {
 
     let names: Vec<&str> = match which.as_deref() {
         Some(one) => vec![one],
-        None => vec![
-            "uniform",
-            "hot-pair",
-            "zipf",
-            "oversubscribed",
-            "churn",
-            "autoscale",
-        ],
+        None => vec!["uniform", "hot-pair", "zipf", "churn", "autoscale"],
     };
     for name in names {
         if name == "churn" {
             // Live reconfiguration has its own harness: it applies
             // epoch barriers mid-run through ExecHandle, which the
-            // generic backend matrix cannot express.
+            // generic shard matrix cannot express.
             run_churn(duration_ms, cores, &mut cap);
             continue;
         }
@@ -1770,7 +1553,7 @@ fn main() {
             run_autoscale(full, cores, &mut cap);
             continue;
         }
-        let sc = scenario(name, duration_ms, cores);
+        let sc = scenario(name, duration_ms);
         let runs = run_matrix(&sc, &mut cap);
         // JSON first: a failed gate must still leave fresh numbers on
         // disk for the always-uploaded CI artifact.

@@ -12,8 +12,8 @@
 //! Run with `--full` for the paper's 120 s duration (default 30 s).
 //! Run with `--real` to additionally re-run every placement on the
 //! `nova-exec` executor and emit side-by-side simulator/executor
-//! columns; `--help` lists the executor knobs (backend selection,
-//! shards, workers, key space/buckets — parsed by
+//! columns; `--help` lists the executor knobs (shards, batch size,
+//! pinning, key space/buckets — parsed by
 //! [`nova_bench::real_exec_cfg`], documented by
 //! [`nova_bench::REAL_FLAGS_USAGE`]).
 

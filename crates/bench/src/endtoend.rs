@@ -156,16 +156,16 @@ pub fn end_to_end_runs(
 /// Execute all approaches on the *real executor* — identical
 /// placements, topology and stress handling as [`end_to_end_runs`],
 /// but every tuple physically flows through worker threads
-/// (`cfg.shards > 1` selects the sharded backend). The figure binaries'
+/// (`cfg.shards` join workers per instance). The figure binaries'
 /// `--real` flag goes through here.
 ///
 /// With a `metrics` writer (the binaries' `--metrics-out PATH` flag)
 /// each approach additionally runs through the *launch* path and its
 /// final [`nova_exec::MetricsSnapshot`] — the per-shard/per-source
 /// registry state at join time, count-identical to the `ExecResult` —
-/// is appended as one tagged JSON line. The blocking and the launched
-/// run share one bootstrap (`Backend::run` delegates to the same
-/// `launch_*` functions), so the two modes measure the same engine.
+/// is appended as one tagged JSON line. The blocking run *is* a
+/// launched run joined immediately, so the two modes measure the same
+/// engine.
 pub fn end_to_end_runs_real(
     scenario: &EnvironmentalScenario,
     cfg: &ExecConfig,

@@ -30,7 +30,7 @@ pub use endtoend::{
 };
 pub use realexec::{
     exec_label, hot_pair_cfg, launch_placement_real, metrics_out_path, parse_real_exec_cfg,
-    real_exec_cfg, run_dataflow_real, run_placement_real, throughput_cfg, throughput_world,
-    throughput_world_rates, with_key_space, zipf_pair_rates, MetricsWriter, REAL_FLAGS_USAGE,
+    real_exec_cfg, run_placement_real, throughput_cfg, throughput_world, throughput_world_rates,
+    with_key_space, zipf_pair_rates, MetricsWriter, REAL_FLAGS_USAGE,
 };
 pub use report::{results_dir, write_csv, Table};

@@ -8,7 +8,7 @@
 //! numbers next to model numbers.
 
 use nova_core::{JoinQuery, Placement};
-use nova_exec::{backend_for, Backend, BackendKind, ExecConfig, ExecResult};
+use nova_exec::{ExecConfig, ExecResult};
 use nova_runtime::{Dataflow, SimConfig};
 use nova_topology::{LatencyProvider, Topology};
 
@@ -19,23 +19,14 @@ use nova_topology::{LatencyProvider, Topology};
 pub const REAL_FLAGS_USAGE: &str = "  \
 --real                re-run every placement on the nova-exec executor
                         (side-by-side simulator/executor columns)
-  --backend KIND        executor engine: threaded | sharded | async
-                        (default auto: sharded when --shards > 1, else
-                        threaded; async = M:N event loop, S shard tasks
-                        on W worker threads)
-  --shards N            join shards per deployed instance (default 1)
-  --workers N           worker threads of the async event loop
-                        (default 0 = one per core; an error on the
-                        thread-per-shard backends, which spawn one
-                        thread per shard)
-  --run-budget N        input messages one async shard task consumes
-                        per cooperative poll (default 2048; an error
-                        on the thread-per-shard backends)
+  --shards N            join shards per deployed instance (default 1
+                        = thread per operator; N hash-partitions each
+                        instance across N worker threads)
   --batch-size N        tuples per hot-path batch frame: sources
                         accumulate N tuples before handing the frame
                         to the join (default 256; 1 = tuple-at-a-time;
                         0 is rejected)
-  --pin-workers         pin shard/worker threads round-robin onto
+  --pin-workers         pin shard threads round-robin onto
                         cores (Linux only, silently a no-op elsewhere;
                         a performance hint — never changes counts)
   --key-space N         per-tuple join sub-key cardinality — a workload
@@ -48,20 +39,23 @@ pub const REAL_FLAGS_USAGE: &str = "  \
                         the executor's final per-shard/per-source
                         registry state — ignored without --real)";
 
-/// Parse the figure binaries' shared `--real` / `--backend KIND` /
-/// `--shards N` / `--workers N` / `--run-budget N` / `--batch-size N` /
-/// `--pin-workers` / `--key-space N` /
+/// Flags of the removed M:N backend (DESIGN.md §5). The parser scans
+/// for the flags it knows and ignores the rest, so without this list a
+/// stale `--backend async --workers 4` would silently benchmark the
+/// thread engine.
+const RETIRED_FLAGS: [&str; 3] = ["--backend", "--workers", "--run-budget"];
+
+/// Parse the figure binaries' shared `--real` / `--shards N` /
+/// `--batch-size N` / `--pin-workers` / `--key-space N` /
 /// `--key-buckets N` flags and build the executor config for the
 /// `--real` re-runs: the simulator settings dilated by `time_scale`,
-/// at the requested backend, shard, worker and key-bucket counts
-/// (counts default to 1, workers to 0 = auto, backend to `auto`; a
-/// malformed *count* falls back to its default, but an unknown
-/// `--backend` value — or an async-only flag combined with a
-/// thread-per-shard backend — is an error: silently benchmarking a
-/// different engine than the one the user typed would be worse than
-/// stopping). The sub-key cardinality is inherited from the
-/// `SimConfig` (patched by [`with_key_space`] so *both* engines'
-/// columns agree on the workload) — with `key_space = 1` every tuple
+/// at the requested shard and key-bucket counts (both default to 1; a
+/// malformed *count* falls back to its default, but a retired engine
+/// flag — `--backend`, `--workers`, `--run-budget` — is an error:
+/// silently benchmarking something other than what the user typed
+/// would be worse than stopping). The sub-key cardinality is inherited
+/// from the `SimConfig` (patched by [`with_key_space`] so *both*
+/// engines' columns agree on the workload) — with `key_space = 1` every tuple
 /// carries sub-key 0 and `--key-buckets` alone only permutes the
 /// `(window, pair)` shard layout; pass `--key-space N` too to exercise
 /// keyed sub-pair sharding. Returns `Ok(None)` when `--real` is
@@ -84,37 +78,18 @@ pub fn parse_real_exec_cfg(
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(default)
     };
-    let backend = match value_of("--backend") {
-        None => BackendKind::Auto,
-        Some(v) => BackendKind::parse(v).ok_or_else(|| {
-            format!("unknown --backend {v:?}: expected threaded | sharded | async (or auto)")
-        })?,
-    };
-    // Regression (bug sweep): --workers / --run-budget only drive the
-    // async event loop. The parser used to accept them with any
-    // backend and the thread-per-shard engines silently ignored them —
-    // the benchmark then measured something other than what the
-    // command line said.
-    if backend != BackendKind::Async {
-        for flag in ["--workers", "--run-budget"] {
-            if args.iter().any(|a| a == flag) {
-                return Err(format!(
-                    "{flag} only applies to the async event loop; pass --backend async \
-                     (the thread-per-shard backends spawn one thread per shard and \
-                     would silently ignore it)"
-                ));
-            }
-        }
+    if let Some(flag) = RETIRED_FLAGS.iter().find(|f| args.iter().any(|a| a == *f)) {
+        return Err(format!(
+            "{flag} was removed with the async backend: there is one engine, and \
+             --shards N alone selects its parallelism (1 = thread per operator)"
+        ));
     }
     let mut cfg = ExecConfig {
-        backend,
         shards: count("--shards", 1),
-        workers: count("--workers", 0),
         key_buckets: count("--key-buckets", 1),
         pin_workers: args.iter().any(|a| a == "--pin-workers"),
         ..ExecConfig::from_sim(sim, time_scale)
     };
-    cfg.run_budget = count("--run-budget", cfg.run_budget);
     cfg.batch_size = count("--batch-size", cfg.batch_size);
     cfg.validate().map_err(|e| e.to_string())?;
     Ok(Some(cfg))
@@ -190,35 +165,17 @@ pub fn with_key_space(args: &[String], sim: SimConfig) -> SimConfig {
     SimConfig { key_space, ..sim }
 }
 
-/// Human-readable description of the engine a config selects, for the
-/// fig binaries' headers — e.g. `threaded`, `sharded, 4 shard(s)`, or
-/// `async, 32 shard task(s)/instance, workers auto`. The async worker
-/// count is reported as requested (`auto` = one per core), not as
-/// resolved: the effective count is additionally capped at the task
-/// count, which depends on each placement's instance count and is not
-/// known here.
+/// Human-readable description of the layout a config selects, for the
+/// fig binaries' headers — `1 shard(s) per instance` is the classic
+/// thread-per-operator layout.
 pub fn exec_label(cfg: &ExecConfig) -> String {
-    match backend_for(cfg).name() {
-        "threaded" => "threaded".to_string(),
-        "sharded" => format!("sharded, {} shard(s)", cfg.shards.max(1)),
-        "async" => {
-            let workers = if cfg.workers == 0 {
-                "auto (one per core)".to_string()
-            } else {
-                format!("≤ {}", cfg.workers)
-            };
-            format!(
-                "async, {} shard task(s)/instance, workers {workers}",
-                cfg.shards.max(1)
-            )
-        }
-        other => other.to_string(),
-    }
+    format!("{} shard(s) per instance", cfg.shards)
 }
 
-/// Deploy `placement` for `query` and execute it on the backend the
-/// config selects (`cfg.shards > 1` ⇒ the sharded backend, else the
-/// thread-per-operator one).
+/// Deploy `placement` for `query` and execute it with `cfg.shards`
+/// join workers per instance. Panics on a config
+/// [`ExecConfig::validate`] rejects — callers build it from
+/// [`parse_real_exec_cfg`] (already validated) or from constants.
 ///
 /// `sigma` must be the σ the placement was computed with (1.0 for the
 /// unpartitioned baselines), exactly as for the simulator path.
@@ -230,9 +187,9 @@ pub fn run_placement_real(
     sigma: f64,
     cfg: &ExecConfig,
 ) -> ExecResult {
-    let df = Dataflow::build(query, placement, |_| sigma);
-    let mut dist = |a, b| provider.rtt(a, b);
-    backend_for(cfg).run(topology, &mut dist, &df, cfg)
+    launch_placement_real(topology, provider, query, placement, sigma, cfg)
+        .expect("valid exec config")
+        .join()
 }
 
 /// Deploy `placement` for `query` and *launch* it reconfigurable —
@@ -251,20 +208,6 @@ pub fn launch_placement_real(
 ) -> Result<nova_exec::ExecHandle, nova_exec::ExecConfigError> {
     let df = Dataflow::build(query, placement, |_| sigma);
     nova_exec::launch(topology, |a, b| provider.rtt(a, b), &df, cfg)
-}
-
-/// Execute an already-deployed dataflow on a caller-chosen backend —
-/// the seam the cross-validation tests and future backends
-/// (sharded / async / pinned) go through.
-pub fn run_dataflow_real(
-    backend: &dyn Backend,
-    topology: &Topology,
-    provider: &impl LatencyProvider,
-    dataflow: &Dataflow,
-    cfg: &ExecConfig,
-) -> ExecResult {
-    let mut dist = |a, b| provider.rtt(a, b);
-    backend.run(topology, &mut dist, dataflow, cfg)
 }
 
 /// The executor-throughput benchmark world: `n_pairs` keyed joins,
@@ -375,51 +318,35 @@ mod tests {
     }
 
     #[test]
-    fn parser_accepts_async_only_flags_with_the_async_backend_only() {
+    fn parser_rejects_the_retired_engine_flags() {
         let sim = SimConfig::default();
         // Without --real: no config, flags irrelevant.
         assert!(matches!(
             parse_real_exec_cfg(&args(&["--workers", "4"]), &sim, 8.0),
             Ok(None)
         ));
-        // Async backend: both flags apply.
-        let cfg = parse_real_exec_cfg(
-            &args(&[
-                "--real",
-                "--backend",
-                "async",
-                "--workers",
-                "4",
-                "--run-budget",
-                "64",
-            ]),
-            &sim,
-            8.0,
-        )
-        .expect("valid combination")
-        .expect("--real present");
-        assert_eq!(cfg.backend, BackendKind::Async);
-        assert_eq!(cfg.workers, 4);
-        assert_eq!(cfg.run_budget, 64);
+        // --shards is the one parallelism flag.
+        let cfg = parse_real_exec_cfg(&args(&["--real", "--shards", "4"]), &sim, 8.0)
+            .expect("valid")
+            .expect("--real present");
+        assert_eq!(cfg.shards, 4);
 
-        // Regression: thread-per-shard backends used to silently
-        // ignore --workers / --run-budget; the combination is now an
-        // explicit error naming the flag.
-        for backend in [&["--backend", "sharded"][..], &[][..]] {
-            for flag in [&["--workers", "4"][..], &["--run-budget", "64"][..]] {
-                let mut a = args(&["--real", "--shards", "4"]);
-                a.extend(args(backend));
-                a.extend(args(flag));
-                let err = parse_real_exec_cfg(&a, &sim, 8.0).unwrap_err();
-                assert!(err.contains(flag[0]), "error must name the flag: {err}");
-                assert!(err.contains("async"), "error must point at the fix: {err}");
-            }
+        // Regression: the parser ignores flags it does not know, so a
+        // stale `--backend async --workers 4` would silently run the
+        // thread engine. Each retired flag is an explicit error naming
+        // the flag and its replacement.
+        for flag in [
+            &["--backend", "async"][..],
+            &["--backend", "sharded"][..],
+            &["--workers", "4"][..],
+            &["--run-budget", "64"][..],
+        ] {
+            let mut a = args(&["--real", "--shards", "4"]);
+            a.extend(args(flag));
+            let err = parse_real_exec_cfg(&a, &sim, 8.0).unwrap_err();
+            assert!(err.contains(flag[0]), "error must name the flag: {err}");
+            assert!(err.contains("--shards"), "error must name the fix: {err}");
         }
-
-        // Unknown backend is an error, not a silent fallback.
-        let err =
-            parse_real_exec_cfg(&args(&["--real", "--backend", "turbo"]), &sim, 8.0).unwrap_err();
-        assert!(err.contains("turbo"));
 
         // Zero-knob values flow into ExecConfig::validate.
         let err = parse_real_exec_cfg(&args(&["--real", "--shards", "0"]), &sim, 8.0).unwrap_err();
@@ -436,8 +363,7 @@ mod tests {
         assert_eq!(cfg.batch_size, ExecConfig::default().batch_size);
         assert!(!cfg.pin_workers);
 
-        // Both flags work on every backend (batching is the hot-path
-        // framing of all three engines, pinning a per-thread hint).
+        // Batching is the hot-path framing, pinning a per-thread hint.
         let cfg = parse_real_exec_cfg(
             &args(&["--real", "--batch-size", "7", "--pin-workers"]),
             &sim,
@@ -486,7 +412,7 @@ mod tests {
         assert_eq!(res.dropped, 0);
         assert_eq!(res.threads, 4);
 
-        // The shards knob selects the sharded backend and keeps counts.
+        // The shards knob fans the instance out and keeps counts.
         let sharded_cfg = ExecConfig { shards: 2, ..cfg };
         let sharded = run_placement_real(&t, &rtt, &q, &p, 1.0, &sharded_cfg);
         assert_eq!(sharded.threads, 5, "2 sources + 2 shards + sink");

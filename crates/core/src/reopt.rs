@@ -199,7 +199,14 @@ impl Nova {
         let query = self.query.as_mut().expect("checked above");
         let plan = self.plan.as_mut().expect("plan exists with query");
         let spec = StreamSpec::keyed(id, rate, key);
-        // Extend the matrix and collect the new pairs.
+        // Extend the matrix and collect the new pairs. A removed
+        // source's `StreamSpec` stays in `query.left/right` (stream
+        // indices are stable), so a key match alone could pair the new
+        // stream with a node that has left the cost space — which has
+        // no coordinate to place against. Such partners are skipped.
+        let space = &self.space;
+        let partners =
+            |other: &StreamSpec| other.key == Some(key) && space.coord(other.node).is_some();
         let mut new_pairs = Vec::new();
         match side {
             Side::Left => {
@@ -207,7 +214,7 @@ impl Nova {
                 query.matrix.push_row();
                 let row = query.left.len() - 1;
                 for (col, other) in query.right.iter().enumerate() {
-                    if other.key == Some(key) {
+                    if partners(other) {
                         query.matrix.set(row, col, true);
                         new_pairs.push((row as u32, col as u32));
                     }
@@ -218,7 +225,7 @@ impl Nova {
                 query.matrix.push_col();
                 let col = query.right.len() - 1;
                 for (row, other) in query.left.iter().enumerate() {
-                    if other.key == Some(key) {
+                    if partners(other) {
                         query.matrix.set(row, col, true);
                         new_pairs.push((row as u32, col as u32));
                     }
@@ -603,6 +610,42 @@ mod tests {
             .map(|r| r.left_rate)
             .sum();
         assert!((total - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn add_source_skips_partners_whose_source_was_removed() {
+        // Regression: add left → remove it → add right with the same
+        // key used to pair the new stream with the dead left stream
+        // (its spec stays in `query.left`) and panic with "node … has
+        // no cost-space coordinate". A second, living left stream of
+        // the same key must still be paired.
+        let mut w = world();
+        let rtt = grow_rtt(&w.rtt, Coord::xy(22.0, 12.0));
+        let gone = w
+            .nova
+            .add_source(&rtt, Side::Left, 20.0, 1, 10.0, "l-gone")
+            .expect("add left");
+        let dead = gone.new_node.expect("new node id");
+        w.nova.remove_node(dead).expect("remove left");
+
+        let rtt = grow_rtt(&rtt, Coord::xy(24.0, -12.0));
+        let out = w
+            .nova
+            .add_source(&rtt, Side::Right, 20.0, 1, 10.0, "r-late")
+            .expect("a dead partner must be skipped, not paired");
+        assert_eq!(out.replaced_pairs.len(), 1, "l1 lives, l-gone does not");
+        w.nova.validate_accounting().expect("accounting holds");
+
+        let q = w.nova.query().expect("active query");
+        let plan = w.nova.plan.as_ref().expect("plan");
+        let new_pair = &plan.pairs[out.replaced_pairs[0].idx()];
+        let l1 = w.nova.topology().by_label("l1").unwrap();
+        assert_eq!(q.left_stream(new_pair).node, l1);
+        for pair in plan.pairs.iter().filter(|p| !w.nova.pair_dead[p.id.idx()]) {
+            assert_ne!(q.left_stream(pair).node, dead, "{pair:?}");
+            assert_ne!(q.right_stream(pair).node, dead, "{pair:?}");
+        }
+        assert!(w.nova.placement().replicas.iter().all(|r| r.node != dead));
     }
 
     #[test]

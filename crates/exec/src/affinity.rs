@@ -1,9 +1,8 @@
-//! Optional CPU affinity for the join worker pools.
+//! Optional CPU affinity for the join workers.
 //!
-//! With [`crate::ExecConfig::pin_workers`] set, the thread-per-shard
-//! fleet pins each shard thread — and the async fleet each pool worker
-//! — to one core (round-robin over the machine's cores), so a hot
-//! shard stops migrating between cores mid-window and its arena-backed
+//! With [`crate::ExecConfig::pin_workers`] set, the fleet pins each
+//! shard thread to one core (round-robin over the machine's cores), so
+//! a hot shard stops migrating between cores mid-window and its arena-backed
 //! window state stays in one core's cache hierarchy. Sources and the
 //! sink are deliberately left unpinned: they pace against the wall
 //! clock and block often, exactly the threads the OS scheduler places

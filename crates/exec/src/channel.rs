@@ -9,48 +9,21 @@
 //! travel in batches to amortize per-message synchronization, which is
 //! what lets a single box push >10⁶ tuples/s through the executor.
 //!
-//! Two families share the message types and the batching discipline:
-//!
-//! * [`bounded`] — the classic link over [`std::sync::mpsc`]: both
-//!   endpoints block (a full buffer parks the sender's OS thread, an
-//!   empty one parks the receiver's). Used by the thread-per-shard
-//!   backends, where every endpoint owns a whole thread it may park.
-//! * [`poll_bounded`] — the event-loop link for [`crate::AsyncBackend`]:
-//!   the same bounded FIFO, but each endpoint exists in a blocking *and*
-//!   a non-blocking flavour. Cooperative shard tasks use
-//!   [`PollReceiver::try_recv`] / [`PollSender::try_send`], which never
-//!   park — on Empty/Full they register the task's
-//!   [`Waker`] **inside the channel's critical
-//!   section** (so the state re-check and the registration are atomic —
-//!   no lost wake-ups) and return immediately. OS-thread peers (source
-//!   tasks, the sink) keep the blocking [`PollSender::send`] /
-//!   [`PollReceiver::recv`], so backpressure on sources is still a real
-//!   park, and every state transition wakes whichever flavour of peer
-//!   is waiting.
-//!
 //! ## Observability
 //!
-//! Neither family exposes its buffer occupancy — [`std::sync::mpsc`]
-//! hides its queue entirely, and reaching into `poll_bounded`'s mutex
-//! from a sampler would add contention to the hot path. The telemetry
-//! plane therefore observes queue depth from the *endpoints* instead:
-//! senders and receivers bump per-channel monotonic counters
-//! (messages/tuples sent, messages/tuples received) in their
-//! pre-resolved [`crate::metrics::MetricsRegistry`] instruments, and a
-//! snapshot derives depth as `sent − received` (saturating — the two
-//! counters are read at slightly different instants). The channel code
-//! itself stays instrument-free: batching already bounds the counter
-//! update rate to once per batch, and a depth gauge derived from two
-//! Relaxed counters is exactly as fresh as one read from inside the
-//! lock would be by the time the sampler publishes it.
+//! [`std::sync::mpsc`] hides its queue entirely, so the telemetry plane
+//! observes queue depth from the *endpoints* instead: senders and
+//! receivers bump per-channel monotonic counters (messages/tuples sent,
+//! messages/tuples received) in their pre-resolved
+//! [`crate::metrics::MetricsRegistry`] instruments, and a snapshot
+//! derives depth as `sent − received` (saturating — the two counters
+//! are read at slightly different instants). The channel code itself
+//! stays instrument-free: batching already bounds the counter update
+//! rate to once per batch.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver as MpscReceiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
 
 use nova_runtime::{OutputTuple, Tuple};
-
-use crate::sched::Waker;
 
 /// An input tuple in flight to a join instance.
 #[derive(Debug, Clone, Copy)]
@@ -248,304 +221,6 @@ impl<T> Receiver<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Closed;
 
-/// Sending a message, abstracted over the channel family — what
-/// [`crate::worker::run_source`] needs from its downstream links. The
-/// blocking semantics are identical for both implementations: the call
-/// parks the calling OS thread while the buffer is full.
-pub(crate) trait MsgSender<T> {
-    /// Blocking send; `Err` when the receiving worker is gone.
-    fn send_msg(&self, msg: T) -> Result<(), Closed>;
-}
-
-impl<T> MsgSender<T> for Sender<T> {
-    fn send_msg(&self, msg: T) -> Result<(), Closed> {
-        self.send(msg)
-    }
-}
-
-/// The batch lane: shipping a whole [`TupleBatch`] downstream in one
-/// channel operation. Blanket-implemented over every
-/// [`MsgSender<JoinMsg>`], so the blocking ([`bounded`]) and
-/// poll-bounded families share one batch framing — a source flushes
-/// identically whichever backend sits downstream.
-pub(crate) trait BatchLane {
-    /// Blocking batch send; `Err` when the receiving worker is gone.
-    fn send_batch(&self, batch: TupleBatch) -> Result<(), Closed>;
-}
-
-impl<S: MsgSender<JoinMsg>> BatchLane for S {
-    fn send_batch(&self, batch: TupleBatch) -> Result<(), Closed> {
-        self.send_msg(JoinMsg::Batch(batch))
-    }
-}
-
-/// Receiving a message, abstracted over the channel family — what
-/// [`crate::worker::run_sink`] needs from its inbound link.
-pub(crate) trait MsgReceiver<T> {
-    /// Blocking receive; `None` once every sender hung up and the
-    /// buffer is drained.
-    fn recv_msg(&self) -> Option<T>;
-}
-
-impl<T> MsgReceiver<T> for Receiver<T> {
-    fn recv_msg(&self) -> Option<T> {
-        self.recv()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Poll-based bounded links (the async backend's channels)
-// ---------------------------------------------------------------------
-
-/// Outcome of a non-blocking [`PollSender::try_send`].
-#[derive(Debug)]
-pub enum PollSend<T> {
-    /// Accepted into the buffer.
-    Sent,
-    /// Buffer full: the message is handed back and the caller's waker
-    /// is registered — it fires as soon as capacity frees up.
-    Full(T),
-    /// The receiver is gone; senders treat this as end-of-run.
-    Closed(T),
-}
-
-/// Outcome of a non-blocking [`PollReceiver::try_recv`].
-#[derive(Debug)]
-pub enum PollRecv<T> {
-    /// Next message, FIFO.
-    Item(T),
-    /// Buffer empty: the caller's waker is registered — it fires on the
-    /// next send (or when the last sender hangs up).
-    Empty,
-    /// Every sender hung up and the buffer is drained.
-    Closed,
-}
-
-struct PollState<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    senders: usize,
-    receiver_alive: bool,
-    /// The cooperative receiver parked on Empty (at most one: MPSC).
-    recv_waker: Option<Waker>,
-    /// Cooperative senders parked on Full.
-    send_wakers: Vec<Waker>,
-}
-
-struct PollChan<T> {
-    state: Mutex<PollState<T>>,
-    /// Parks *blocking* peers only (OS threads); cooperative peers park
-    /// in the scheduler via their wakers instead.
-    cv: Condvar,
-}
-
-impl<T> PollChan<T> {
-    /// Wake everything waiting for "buffer no longer full".
-    fn notify_space(&self, state: &mut PollState<T>) {
-        for w in state.send_wakers.drain(..) {
-            w.wake();
-        }
-        self.cv.notify_all();
-    }
-
-    /// Wake everything waiting for "buffer no longer empty" (or for a
-    /// closure, which uses the same parking spots).
-    fn notify_data(&self, state: &mut PollState<T>) {
-        if let Some(w) = state.recv_waker.take() {
-            w.wake();
-        }
-        self.cv.notify_all();
-    }
-}
-
-/// Sending half of a poll-based link. Cloneable (multi-producer); both
-/// blocking ([`PollSender::send`], for OS-thread producers) and
-/// non-blocking ([`PollSender::try_send`], for cooperative tasks).
-#[derive(Debug)]
-pub struct PollSender<T> {
-    chan: Arc<PollChan<T>>,
-}
-
-/// Receiving half of a poll-based link; both blocking
-/// ([`PollReceiver::recv`], for OS-thread consumers) and non-blocking
-/// ([`PollReceiver::try_recv`], for cooperative tasks).
-#[derive(Debug)]
-pub struct PollReceiver<T> {
-    chan: Arc<PollChan<T>>,
-}
-
-impl<T> std::fmt::Debug for PollChan<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PollChan { .. }")
-    }
-}
-
-/// Create a poll-based bounded link buffering at most `capacity`
-/// messages — the [`crate::AsyncBackend`] counterpart of [`bounded`].
-pub fn poll_bounded<T>(capacity: usize) -> (PollSender<T>, PollReceiver<T>) {
-    // lint: allow(lock, the poll family IS a lock: waker registration
-    // must be atomic with the buffer check (DESIGN.md §5), so the state
-    // lives under one Mutex and blocking peers park on the Condvar)
-    let chan = Arc::new(PollChan {
-        state: Mutex::new(PollState {
-            items: VecDeque::new(),
-            capacity: capacity.max(1),
-            senders: 1,
-            receiver_alive: true,
-            recv_waker: None,
-            send_wakers: Vec::new(),
-        }),
-        cv: Condvar::new(),
-    });
-    (
-        PollSender {
-            chan: Arc::clone(&chan),
-        },
-        PollReceiver { chan },
-    )
-}
-
-impl<T> Clone for PollSender<T> {
-    fn clone(&self) -> Self {
-        // lint: allow(lock, sender bookkeeping happens at wiring time,
-        // not per message) allow(panic, poisoned means a peer panicked
-        // mid-send — propagating the crash is the correct response)
-        self.chan.state.lock().expect("channel poisoned").senders += 1;
-        PollSender {
-            chan: Arc::clone(&self.chan),
-        }
-    }
-}
-
-impl<T> Drop for PollSender<T> {
-    fn drop(&mut self) {
-        // lint: allow(lock, hang-up is once per endpoint, off the data
-        // path) allow(panic, poisoned channel during teardown — the
-        // process is already crashing)
-        let mut state = self.chan.state.lock().expect("channel poisoned");
-        state.senders -= 1;
-        if state.senders == 0 {
-            // The receiver must observe the closure even with an empty
-            // buffer.
-            self.chan.notify_data(&mut state);
-        }
-    }
-}
-
-impl<T> Drop for PollReceiver<T> {
-    fn drop(&mut self) {
-        // lint: allow(lock, hang-up is once per endpoint, off the data
-        // path) allow(panic, poisoned channel during teardown — the
-        // process is already crashing)
-        let mut state = self.chan.state.lock().expect("channel poisoned");
-        state.receiver_alive = false;
-        // Senders parked on a full buffer must observe the hang-up.
-        self.chan.notify_space(&mut state);
-    }
-}
-
-impl<T> PollSender<T> {
-    /// Blocking send (for OS-thread producers): parks while the buffer
-    /// is full; `Err` when the receiver is gone.
-    pub fn send(&self, msg: T) -> Result<(), Closed> {
-        // lint: allow(lock, blocking send exists for OS-thread peers —
-        // backpressure parks them here by design; cooperative tasks
-        // use try_send) allow(panic, poisoned means a peer panicked
-        // holding the state — propagate, never limp on half a channel)
-        let mut state = self.chan.state.lock().expect("channel poisoned");
-        loop {
-            if !state.receiver_alive {
-                return Err(Closed);
-            }
-            if state.items.len() < state.capacity {
-                state.items.push_back(msg);
-                self.chan.notify_data(&mut state);
-                return Ok(());
-            }
-            state = self.chan.cv.wait(state).expect("channel poisoned");
-        }
-    }
-
-    /// Non-blocking send (for cooperative tasks): on a full buffer the
-    /// message comes back and `waker` is registered *in the same
-    /// critical section* — any pop after this call fires it, so the
-    /// caller can safely park.
-    pub fn try_send(&self, msg: T, waker: &Waker) -> PollSend<T> {
-        // lint: allow(lock, the critical section is what makes waker
-        // registration race-free with the consumer's pop — see the
-        // lost-wake argument in DESIGN.md §5) allow(panic, poisoned
-        // means a peer panicked holding the state — propagate)
-        let mut state = self.chan.state.lock().expect("channel poisoned");
-        if !state.receiver_alive {
-            return PollSend::Closed(msg);
-        }
-        if state.items.len() < state.capacity {
-            state.items.push_back(msg);
-            self.chan.notify_data(&mut state);
-            PollSend::Sent
-        } else {
-            state.send_wakers.push(waker.clone());
-            PollSend::Full(msg)
-        }
-    }
-}
-
-impl<T> PollReceiver<T> {
-    /// Blocking receive (for OS-thread consumers): parks while the
-    /// buffer is empty; `None` once every sender hung up and the buffer
-    /// is drained.
-    pub fn recv(&self) -> Option<T> {
-        // lint: allow(lock, blocking recv exists for OS-thread peers —
-        // an empty buffer parks them here by design; cooperative tasks
-        // use try_recv) allow(panic, poisoned means a peer panicked
-        // holding the state — propagate, never limp on half a channel)
-        let mut state = self.chan.state.lock().expect("channel poisoned");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.chan.notify_space(&mut state);
-                return Some(item);
-            }
-            if state.senders == 0 {
-                return None;
-            }
-            state = self.chan.cv.wait(state).expect("channel poisoned");
-        }
-    }
-
-    /// Non-blocking receive (for cooperative tasks): on an empty buffer
-    /// `waker` is registered in the same critical section — any push
-    /// (or final hang-up) after this call fires it, so the caller can
-    /// safely park.
-    pub fn try_recv(&self, waker: &Waker) -> PollRecv<T> {
-        // lint: allow(lock, the critical section is what makes waker
-        // registration race-free with a producer's push — see the
-        // lost-wake argument in DESIGN.md §5) allow(panic, poisoned
-        // means a peer panicked holding the state — propagate)
-        let mut state = self.chan.state.lock().expect("channel poisoned");
-        if let Some(item) = state.items.pop_front() {
-            self.chan.notify_space(&mut state);
-            return PollRecv::Item(item);
-        }
-        if state.senders == 0 {
-            return PollRecv::Closed;
-        }
-        state.recv_waker = Some(waker.clone());
-        PollRecv::Empty
-    }
-}
-
-impl<T> MsgSender<T> for PollSender<T> {
-    fn send_msg(&self, msg: T) -> Result<(), Closed> {
-        self.send(msg)
-    }
-}
-
-impl<T> MsgReceiver<T> for PollReceiver<T> {
-    fn recv_msg(&self) -> Option<T> {
-        self.recv()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,50 +266,6 @@ mod tests {
         assert_eq!(tx.try_send(2), Ok(false));
     }
 
-    use crate::sched::{Poll, Scheduler};
-
-    #[test]
-    fn poll_try_recv_registers_waker_and_push_fires_it() {
-        let sched = Scheduler::new(1);
-        let task = sched.next().unwrap();
-        let waker = sched.waker(task);
-        let (tx, rx) = poll_bounded::<u8>(4);
-        // Empty: registers the waker...
-        assert!(matches!(rx.try_recv(&waker), PollRecv::Empty));
-        sched.complete(task, Poll::Pending); // task parks
-                                             // ...and a blocking push from an "OS thread" wakes the task.
-        tx.send(7).unwrap();
-        assert_eq!(sched.next(), Some(task));
-        assert!(matches!(rx.try_recv(&waker), PollRecv::Item(7)));
-        // Last sender hanging up also wakes a parked receiver.
-        assert!(matches!(rx.try_recv(&waker), PollRecv::Empty));
-        sched.complete(task, Poll::Pending);
-        drop(tx);
-        assert_eq!(sched.next(), Some(task));
-        assert!(matches!(rx.try_recv(&waker), PollRecv::Closed));
-    }
-
-    #[test]
-    fn poll_try_send_hands_message_back_and_pop_frees_capacity() {
-        let sched = Scheduler::new(1);
-        let task = sched.next().unwrap();
-        let waker = sched.waker(task);
-        let (tx, rx) = poll_bounded::<u8>(1);
-        assert!(matches!(tx.try_send(1, &waker), PollSend::Sent));
-        // Full: the message comes back and the waker is registered...
-        let PollSend::Full(msg) = tx.try_send(2, &waker) else {
-            panic!("second send must report Full");
-        };
-        sched.complete(task, Poll::Pending);
-        // ...and a blocking pop fires it.
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(sched.next(), Some(task));
-        assert!(matches!(tx.try_send(msg, &waker), PollSend::Sent));
-        // Receiver hang-up is reported, message handed back.
-        drop(rx);
-        assert!(matches!(tx.try_send(9, &waker), PollSend::Closed(9)));
-    }
-
     fn inflight(seq: u64, event_time: f64) -> InFlight {
         use nova_core::{PairId, Side};
         InFlight {
@@ -665,52 +296,5 @@ mod tests {
         assert_eq!(b.frontier(), 30.0);
         let seqs: Vec<u64> = b.tuples().iter().map(|t| t.tuple.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3], "emission order preserved");
-    }
-
-    #[test]
-    fn batch_lane_frames_identically_on_both_channel_families() {
-        // One send_batch per family; both receivers must see the same
-        // JoinMsg::Batch framing with payload and frontier intact.
-        let (tx, rx) = bounded::<JoinMsg>(2);
-        let (ptx, prx) = poll_bounded::<JoinMsg>(2);
-        for lane in [&tx as &dyn BatchLane, &ptx as &dyn BatchLane] {
-            let mut b = TupleBatch::with_capacity(7, 2);
-            b.push(inflight(1, 5.0));
-            b.push(inflight(2, 15.0));
-            lane.send_batch(b).unwrap();
-        }
-        drop(tx);
-        drop(ptx);
-        for msg in [rx.recv().unwrap(), prx.recv().unwrap()] {
-            let JoinMsg::Batch(got) = msg else {
-                panic!("batch lane must frame as JoinMsg::Batch");
-            };
-            assert_eq!(got.source(), 7);
-            assert_eq!(got.len(), 2);
-            assert_eq!(got.frontier(), 15.0);
-        }
-    }
-
-    #[test]
-    fn poll_blocking_endpoints_are_fifo_across_threads() {
-        let (tx, rx) = poll_bounded::<u32>(4);
-        let tx2 = tx.clone();
-        let h = std::thread::spawn(move || {
-            for i in 0..100 {
-                tx2.send(i).unwrap();
-            }
-        });
-        drop(tx);
-        let mut last = None;
-        let mut count = 0;
-        while let Some(v) = rx.recv() {
-            if let Some(prev) = last {
-                assert!(v > prev, "FIFO violated: {v} after {prev}");
-            }
-            last = Some(v);
-            count += 1;
-        }
-        h.join().unwrap();
-        assert_eq!(count, 100);
     }
 }

@@ -4,8 +4,7 @@
 //! module landed; this module closes the sim/exec asymmetry by letting
 //! a *running* placement absorb a [`PlanSwitch`] mid-stream. The run is
 //! started through [`launch`], which returns an [`ExecHandle`]; each
-//! [`ExecHandle::apply`] executes one **epoch-barrier protocol** over
-//! whatever backend the config selected:
+//! [`ExecHandle::apply`] executes one **epoch-barrier protocol**:
 //!
 //! 1. **Arm** — every source worker receives `Reconfigure { epoch,
 //!    epoch_ms }` on its control mailbox. Sources keep emitting until
@@ -21,15 +20,13 @@
 //! 3. **Quiesce & handoff** — each shard then flushes its outputs,
 //!    publishes its match count, exports its live window state
 //!    ([`nova_runtime::WindowGroup`]s) up the control channel and
-//!    retires. This is identical across backends because the logic
-//!    lives in the shared `JoinCore` (`on_barrier` / `export_state`).
+//!    retires (`JoinCore::on_barrier` / `export_state`).
 //! 4. **Switch** — the control plane compiles the post plan, re-bases
 //!    the sink's Eof quorum ([`crate::channel::SinkMsg::Epoch`]),
-//!    spawns a *fresh generation* of shard workers (threads or
-//!    cooperative tasks, per backend) whose `JoinCore`s are pre-seeded
-//!    with the migrated `(window, pair, key bucket)` groups re-hashed
-//!    under the new layout, and finally resumes every source with the
-//!    new routing tables and senders.
+//!    spawns a *fresh generation* of shard threads whose `JoinCore`s
+//!    are pre-seeded with the migrated `(window, pair, key bucket)`
+//!    groups re-hashed under the new layout, and finally resumes every
+//!    source with the new routing tables and senders.
 //!
 //! ## Why counts are preserved
 //!
@@ -45,31 +42,28 @@
 //! [`nova_runtime::simulate_reconfigured`] implements the same
 //! semantics over the same [`PlanSwitch`], which is what the
 //! reconfiguration consistency tests pin: identical
-//! `emitted`/`matched`/`delivered` on drop-free runs, on all three
-//! backends (DESIGN.md §7).
+//! `emitted`/`matched`/`delivered` on drop-free runs, at every shard
+//! count (DESIGN.md §7).
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nova_runtime::{Dataflow, OutputRecord, PlanSwitch, WindowGroup};
 use nova_topology::{NodeId, Topology};
 
-use crate::async_backend::{effective_workers, JoinTask};
-use crate::channel::{bounded, poll_bounded, JoinMsg, MsgSender, PollSender, Sender, SinkMsg};
+use crate::channel::{bounded, JoinMsg, Sender, SinkMsg};
 use crate::join::JoinCore;
 use crate::metrics::{
     Counters, ExecResult, MetricsRegistry, MetricsSnapshot, NodePacer, ShardInstr, ShardTelemetry,
     SinkTelemetry, SourceTelemetry, SubscribeError, TraceKind,
 };
-use crate::sched::{Poll, Scheduler};
 use crate::sharded::{key_bucket_of, shard_of};
 use crate::worker::{self, CompiledInstance, CompiledSource, VirtualClock};
 use crate::{ExecConfig, ExecConfigError};
 
 /// Control message to one source worker (its private mailbox).
-pub(crate) enum SourceCtrl<T> {
+pub(crate) enum SourceCtrl {
     /// Arm an epoch: barrier once the next emission time reaches
     /// `epoch_ms`.
     Reconfigure {
@@ -85,7 +79,7 @@ pub(crate) enum SourceCtrl<T> {
         src: CompiledSource,
         /// Senders of the new generation, flat `instance × shards +
         /// shard` layout.
-        txs: Vec<T>,
+        txs: Vec<Sender<JoinMsg>>,
         /// Total post-plan source count (for the shared resume-grid
         /// rule — admission changes the stagger denominator).
         n_sources: usize,
@@ -270,34 +264,9 @@ pub struct ShardScale {
     pub key_buckets: usize,
 }
 
-/// Per-backend mechanism for materializing one generation of shard
-/// workers. Everything protocol-level lives in [`Plane`]; a fleet only
-/// knows how to wire channels and spawn its execution vehicles.
-pub(crate) trait Fleet {
-    /// The join-channel sender family this fleet's sources use.
-    type Tx: MsgSender<JoinMsg> + Clone + Send + 'static;
-
-    /// Spawn shard workers for `cores` (flat `instance × shards +
-    /// shard` order) and return their input senders in the same order.
-    fn spawn_generation(&mut self, cores: Vec<JoinCore>) -> Vec<Self::Tx>;
-
-    /// Enqueue a message to the sink (the fleet owns a sink sender for
-    /// the whole run, which also keeps the channel open across
-    /// generation turnover).
-    fn send_sink(&mut self, msg: SinkMsg);
-
-    /// OS threads this fleet has spawned so far (for
-    /// [`ExecResult::threads`] accounting).
-    fn worker_threads(&self) -> usize;
-
-    /// Release the sink sender and join every spawned worker. Called
-    /// once, after the sources finished.
-    fn finish(&mut self);
-}
-
-/// Thread-per-shard fleet: one OS thread per `JoinCore`, blocking MPSC
-/// channels — the vehicle of [`crate::ThreadedBackend`] (1 shard) and
-/// [`crate::ShardedBackend`] (N shards).
+/// Thread-per-shard fleet: one OS thread per `JoinCore`, fed by a
+/// blocking MPSC channel. It only knows how to wire channels and spawn
+/// threads; everything protocol-level lives in [`Plane`].
 pub(crate) struct ThreadFleet {
     cfg: ExecConfig,
     pacers: Arc<Vec<NodePacer>>,
@@ -308,9 +277,9 @@ pub(crate) struct ThreadFleet {
     spawned: usize,
 }
 
-impl Fleet for ThreadFleet {
-    type Tx = Sender<JoinMsg>;
-
+impl ThreadFleet {
+    /// Spawn shard workers for `cores` (flat `instance × shards +
+    /// shard` order) and return their input senders in the same order.
     fn spawn_generation(&mut self, cores: Vec<JoinCore>) -> Vec<Sender<JoinMsg>> {
         let mut txs = Vec::with_capacity(cores.len());
         for (flat, core) in cores.into_iter().enumerate() {
@@ -338,16 +307,17 @@ impl Fleet for ThreadFleet {
         txs
     }
 
+    /// Enqueue a message to the sink (the fleet owns a sink sender for
+    /// the whole run, which also keeps the channel open across
+    /// generation turnover).
     fn send_sink(&mut self, msg: SinkMsg) {
         if let Some(tx) = &self.sink_tx {
             let _ = tx.send(msg);
         }
     }
 
-    fn worker_threads(&self) -> usize {
-        self.spawned
-    }
-
+    /// Release the sink sender and join every spawned worker. Called
+    /// once, after the sources finished.
     fn finish(&mut self) {
         self.sink_tx = None;
         for h in self.handles.drain(..) {
@@ -356,133 +326,10 @@ impl Fleet for ThreadFleet {
     }
 }
 
-/// Cooperative-task fleet: shard tasks on the M:N event loop — the
-/// vehicle of [`crate::AsyncBackend`]. Generations add tasks to one
-/// long-lived scheduler; the worker thread count is fixed at launch.
-pub(crate) struct TaskFleet {
-    cfg: ExecConfig,
-    sink_tx: Option<PollSender<SinkMsg>>,
-    ctrl_up: mpsc::Sender<Quiesced>,
-    scheduler: Arc<Scheduler>,
-    /// All tasks ever registered, indexed by scheduler id. Workers
-    /// clone the `Arc` out under a short lock; the per-task mutex is
-    /// uncontended by design (the scheduler hands a task to one worker
-    /// at a time).
-    table: Arc<Mutex<Vec<Arc<Mutex<JoinTask>>>>>,
-    workers: Vec<JoinHandle<()>>,
-    spawned: usize,
-}
-
-impl TaskFleet {
-    /// Spawn the fixed worker pool (gen-0 setup).
-    fn start_workers(
-        &mut self,
-        count: usize,
-        pacers: &Arc<Vec<NodePacer>>,
-        counters: &Arc<Counters>,
-    ) {
-        self.spawned += count;
-        for i in 0..count {
-            let scheduler = Arc::clone(&self.scheduler);
-            let table = Arc::clone(&self.table);
-            let cfg = self.cfg;
-            let pacers = Arc::clone(pacers);
-            let counters = Arc::clone(counters);
-            // Optional affinity: pool worker `i` on core `i mod cores`.
-            let pin = self
-                .cfg
-                .pin_workers
-                .then(|| i % crate::affinity::machine_cores());
-            self.workers.push(std::thread::spawn(move || {
-                if let Some(cpu) = pin {
-                    let _ = crate::affinity::pin_current_thread(cpu);
-                }
-                while let Some(id) = scheduler.next() {
-                    let task = {
-                        let table = table.lock().expect("task table poisoned");
-                        Arc::clone(&table[id])
-                    };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        task.lock()
-                            .expect("join task poisoned")
-                            .poll(&cfg, &pacers, &counters)
-                    }));
-                    match outcome {
-                        Ok(outcome) => scheduler.complete(id, outcome),
-                        Err(payload) => {
-                            // A panicked poll must not hang the run:
-                            // drop the dead task's endpoints so blocked
-                            // sources and the sink observe closure,
-                            // retire it in the scheduler, then re-raise.
-                            let mut task = match task.lock() {
-                                Ok(guard) => guard,
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                            task.abandon();
-                            drop(task);
-                            scheduler.complete(id, Poll::Done);
-                            resume_unwind(payload);
-                        }
-                    }
-                }
-            }));
-        }
-    }
-}
-
-impl Fleet for TaskFleet {
-    type Tx = PollSender<JoinMsg>;
-
-    fn spawn_generation(&mut self, cores: Vec<JoinCore>) -> Vec<PollSender<JoinMsg>> {
-        let mut txs = Vec::with_capacity(cores.len());
-        for (flat, core) in cores.into_iter().enumerate() {
-            let (tx, rx) = poll_bounded::<JoinMsg>(self.cfg.channel_capacity);
-            txs.push(tx);
-            // Reserve first (task starts Idle), publish the task, then
-            // wake it — a worker can never pop an unpublished id.
-            let id = self.scheduler.reserve();
-            let task = JoinTask::new(
-                core,
-                flat,
-                rx,
-                self.sink_tx.clone().expect("fleet finished"),
-                self.scheduler.waker(id),
-                self.ctrl_up.clone(),
-            );
-            {
-                let mut table = self.table.lock().expect("task table poisoned");
-                debug_assert_eq!(table.len(), id);
-                table.push(Arc::new(Mutex::new(task)));
-            }
-            self.scheduler.waker(id).wake();
-        }
-        txs
-    }
-
-    fn send_sink(&mut self, msg: SinkMsg) {
-        if let Some(tx) = &self.sink_tx {
-            let _ = tx.send(msg);
-        }
-    }
-
-    fn worker_threads(&self) -> usize {
-        self.spawned
-    }
-
-    fn finish(&mut self) {
-        self.sink_tx = None;
-        self.scheduler.release();
-        for h in self.workers.drain(..) {
-            h.join().expect("event-loop worker panicked");
-        }
-    }
-}
-
 /// The running execution: sources, one fleet of shard workers, the
-/// sink, and the control channels between them. Generic over the fleet
-/// so the epoch protocol is written exactly once.
-pub(crate) struct Plane<F: Fleet> {
-    fleet: F,
+/// sink, and the control channels between them.
+pub(crate) struct Plane {
+    fleet: ThreadFleet,
     cfg: ExecConfig,
     clock: VirtualClock,
     topology: Topology,
@@ -500,8 +347,8 @@ pub(crate) struct Plane<F: Fleet> {
     /// Current generation's instances (flat layout divides by
     /// `shards`).
     instances: Vec<CompiledInstance>,
-    join_txs: Vec<F::Tx>,
-    src_ctrl: Vec<mpsc::Sender<SourceCtrl<F::Tx>>>,
+    join_txs: Vec<Sender<JoinMsg>>,
+    src_ctrl: Vec<mpsc::Sender<SourceCtrl>>,
     src_handles: Vec<JoinHandle<()>>,
     ctrl_up_rx: mpsc::Receiver<Quiesced>,
     sink_handle: Option<JoinHandle<Vec<OutputRecord>>>,
@@ -542,7 +389,7 @@ fn attach_telemetry(
     instr
 }
 
-impl<F: Fleet> Plane<F> {
+impl Plane {
     /// Execute one epoch-barrier reconfiguration. Blocks until the
     /// sources are resumed on the new plan.
     ///
@@ -769,7 +616,7 @@ impl<F: Fleet> Plane<F> {
         // mailbox for the Resume below, which carries its compiled
         // task already placed on the admission grid.
         for _ in n_running..n_post {
-            let (ctrl_tx, ctrl_rx) = mpsc::channel::<SourceCtrl<F::Tx>>();
+            let (ctrl_tx, ctrl_rx) = mpsc::channel::<SourceCtrl>();
             self.src_ctrl.push(ctrl_tx);
             let cfg = self.cfg;
             let clock = self.clock;
@@ -802,7 +649,7 @@ impl<F: Fleet> Plane<F> {
                 for &target in &targets {
                     for shard in 0..new_shards {
                         let _ = new_txs[target as usize * new_shards + shard]
-                            .send_msg(JoinMsg::Eof { source: i as u32 });
+                            .send(JoinMsg::Eof { source: i as u32 });
                     }
                 }
             }
@@ -909,69 +756,35 @@ impl<F: Fleet> Plane<F> {
             node_busy_ms: self.pacers.iter().map(|p| p.busy_ms()).collect(),
             dropped: self.counters.dropped.load(Ordering::Relaxed),
             wall_ms: self.clock.wall_ms(),
-            threads: self.n_sources + self.fleet.worker_threads() + 1,
+            threads: self.n_sources + self.fleet.spawned + 1,
             epochs: std::mem::take(&mut self.stats),
         }
     }
 }
 
-/// Shared launch pre-work: compiled plan, pacer table, counters.
-struct Prep {
-    plan: worker::CompiledPlan,
-    pacers: Arc<Vec<NodePacer>>,
-    counters: Arc<Counters>,
-    charge_sink: Vec<bool>,
-    sink_node: usize,
-}
-
-fn prep(
-    topology: &Topology,
-    dist: &mut dyn FnMut(NodeId, NodeId) -> f64,
-    dataflow: &Dataflow,
-    cfg: &ExecConfig,
-) -> Prep {
-    let plan = worker::compile(topology, dist, dataflow);
-    let pacers: Arc<Vec<NodePacer>> = Arc::new(
-        topology
-            .nodes()
-            .iter()
-            .map(|n| NodePacer::new(n.capacity, cfg.max_queue_ms))
-            .collect(),
-    );
-    let charge_sink = plan.instances.iter().map(|i| i.charge_sink).collect();
-    Prep {
-        plan,
-        pacers,
-        counters: Arc::new(Counters::default()),
-        charge_sink,
-        sink_node: dataflow.sink.idx(),
-    }
-}
-
-/// Spawn the source workers (shared by both fleets).
-#[allow(clippy::type_complexity)]
+/// Spawn the source workers.
 #[allow(clippy::too_many_arguments)]
-fn spawn_sources<T: MsgSender<JoinMsg> + Clone + Send + 'static>(
+fn spawn_sources(
     sources: Vec<CompiledSource>,
     cfg: &ExecConfig,
     clock: VirtualClock,
     pacers: &Arc<Vec<NodePacer>>,
     counters: &Arc<Counters>,
-    join_txs: &[T],
+    join_txs: &[Sender<JoinMsg>],
     shards: usize,
     key_buckets: usize,
     registry: &Option<Arc<MetricsRegistry>>,
     tx_instr: &[Arc<ShardInstr>],
-) -> (Vec<mpsc::Sender<SourceCtrl<T>>>, Vec<JoinHandle<()>>) {
+) -> (Vec<mpsc::Sender<SourceCtrl>>, Vec<JoinHandle<()>>) {
     let mut ctrls = Vec::with_capacity(sources.len());
     let mut handles = Vec::with_capacity(sources.len());
     for src in sources {
-        let (ctrl_tx, ctrl_rx) = mpsc::channel::<SourceCtrl<T>>();
+        let (ctrl_tx, ctrl_rx) = mpsc::channel::<SourceCtrl>();
         ctrls.push(ctrl_tx);
         let cfg = *cfg;
         let pacers = Arc::clone(pacers);
         let counters = Arc::clone(counters);
-        let txs: Vec<T> = join_txs.to_vec();
+        let txs = join_txs.to_vec();
         let tele = match registry {
             Some(r) => SourceTelemetry::new(
                 Arc::clone(r),
@@ -998,46 +811,56 @@ fn spawn_sources<T: MsgSender<JoinMsg> + Clone + Send + 'static>(
     (ctrls, handles)
 }
 
-/// Launch on the thread-per-shard vehicle (`shards = 1` is the classic
-/// thread-per-operator layout — one bootstrap for both backends, so
-/// they cannot drift).
-pub(crate) fn launch_threads(
+/// The one bootstrap: one thread per source task, `cfg.shards` join
+/// workers per deployed instance (1 = the classic thread-per-operator
+/// layout) and the sink. A plain run is a reconfigurable run that never
+/// reconfigures, so [`crate::execute`] goes through here too.
+fn launch_threads(
     topology: &Topology,
     dist: &mut dyn FnMut(NodeId, NodeId) -> f64,
     dataflow: &Dataflow,
     cfg: &ExecConfig,
-    shards: usize,
-) -> Plane<ThreadFleet> {
-    let p = prep(topology, dist, dataflow, cfg);
+) -> Plane {
+    let shards = cfg.shards;
+    let plan = worker::compile(topology, dist, dataflow);
+    let pacers: Arc<Vec<NodePacer>> = Arc::new(
+        topology
+            .nodes()
+            .iter()
+            .map(|n| NodePacer::new(n.capacity, cfg.max_queue_ms))
+            .collect(),
+    );
+    let counters = Arc::new(Counters::default());
     // The clock starts before the fleet spawns so the registry can
     // timestamp spawn-time trace events; sources still emit at the
     // same virtual times (their grid is absolute).
     let clock = VirtualClock::start(cfg.time_scale);
     let registry = cfg
         .telemetry
-        .then(|| MetricsRegistry::new(clock, Arc::clone(&p.counters), Arc::clone(&p.pacers)));
+        .then(|| MetricsRegistry::new(clock, Arc::clone(&counters), Arc::clone(&pacers)));
     let (ctrl_up_tx, ctrl_up_rx) = mpsc::channel::<Quiesced>();
     let (sink_tx, sink_rx) = bounded::<SinkMsg>(cfg.channel_capacity);
     let mut fleet = ThreadFleet {
         cfg: *cfg,
-        pacers: Arc::clone(&p.pacers),
-        counters: Arc::clone(&p.counters),
+        pacers: Arc::clone(&pacers),
+        counters: Arc::clone(&counters),
         sink_tx: Some(sink_tx),
         ctrl_up: ctrl_up_tx,
         handles: Vec::new(),
         spawned: 0,
     };
-    let mut cores: Vec<JoinCore> = (0..p.plan.instances.len() * shards)
-        .map(|flat| JoinCore::new(p.plan.instances[flat / shards].clone()))
+    let mut cores: Vec<JoinCore> = (0..plan.instances.len() * shards)
+        .map(|flat| JoinCore::new(plan.instances[flat / shards].clone()))
         .collect();
-    let tx_instr = attach_telemetry(&registry, 0, &p.plan.instances, shards, &mut cores);
+    let tx_instr = attach_telemetry(&registry, 0, &plan.instances, shards, &mut cores);
     let n_workers = cores.len();
     let join_txs = fleet.spawn_generation(cores);
 
     let sink_handle = {
-        let pacers = Arc::clone(&p.pacers);
-        let counters = Arc::clone(&p.counters);
-        let (charge, node) = (p.charge_sink.clone(), p.sink_node);
+        let pacers = Arc::clone(&pacers);
+        let counters = Arc::clone(&counters);
+        let charge: Vec<bool> = plan.instances.iter().map(|i| i.charge_sink).collect();
+        let node = dataflow.sink.idx();
         let tele = registry.as_ref().map(|r| SinkTelemetry {
             registry: Arc::clone(r),
             instr: r.sink_instr(),
@@ -1047,14 +870,14 @@ pub(crate) fn launch_threads(
         })
     };
 
-    let n_sources = p.plan.sources.len();
-    let key_buckets = cfg.key_buckets.max(1);
+    let n_sources = plan.sources.len();
+    let key_buckets = cfg.key_buckets;
     let (src_ctrl, src_handles) = spawn_sources(
-        p.plan.sources,
+        plan.sources,
         cfg,
         clock,
-        &p.pacers,
-        &p.counters,
+        &pacers,
+        &counters,
         &join_txs,
         shards,
         key_buckets,
@@ -1067,13 +890,13 @@ pub(crate) fn launch_threads(
         cfg: *cfg,
         clock,
         topology: topology.clone(),
-        pacers: p.pacers,
-        counters: p.counters,
+        pacers,
+        counters,
         shards,
         key_buckets,
         armed: false,
         epoch: 0,
-        instances: p.plan.instances,
+        instances: plan.instances,
         join_txs,
         src_ctrl,
         src_handles,
@@ -1084,104 +907,6 @@ pub(crate) fn launch_threads(
         registry,
         generation: 0,
     }
-}
-
-/// Launch on the M:N event-loop vehicle.
-pub(crate) fn launch_tasks(
-    topology: &Topology,
-    dist: &mut dyn FnMut(NodeId, NodeId) -> f64,
-    dataflow: &Dataflow,
-    cfg: &ExecConfig,
-) -> Plane<TaskFleet> {
-    let shards = cfg.shards.max(1);
-    let p = prep(topology, dist, dataflow, cfg);
-    let clock = VirtualClock::start(cfg.time_scale);
-    let registry = cfg
-        .telemetry
-        .then(|| MetricsRegistry::new(clock, Arc::clone(&p.counters), Arc::clone(&p.pacers)));
-    let (ctrl_up_tx, ctrl_up_rx) = mpsc::channel::<Quiesced>();
-    let (sink_tx, sink_rx) = poll_bounded::<SinkMsg>(cfg.channel_capacity);
-    let n_tasks = p.plan.instances.len() * shards;
-    let workers = effective_workers(cfg.workers, n_tasks);
-
-    let scheduler = Scheduler::new(0);
-    // Run guard: keeps the workers alive across the task-less moment
-    // between generations; released in `TaskFleet::finish`.
-    scheduler.hold();
-    let mut fleet = TaskFleet {
-        cfg: *cfg,
-        sink_tx: Some(sink_tx),
-        ctrl_up: ctrl_up_tx,
-        scheduler,
-        table: Arc::new(Mutex::new(Vec::new())),
-        workers: Vec::new(),
-        spawned: 0,
-    };
-    if let Some(r) = &registry {
-        r.attach_scheduler(Arc::clone(&fleet.scheduler));
-    }
-    fleet.start_workers(workers, &p.pacers, &p.counters);
-    let mut cores: Vec<JoinCore> = (0..n_tasks)
-        .map(|flat| JoinCore::new(p.plan.instances[flat / shards].clone()))
-        .collect();
-    let tx_instr = attach_telemetry(&registry, 0, &p.plan.instances, shards, &mut cores);
-    let join_txs = fleet.spawn_generation(cores);
-
-    let sink_handle = {
-        let pacers = Arc::clone(&p.pacers);
-        let counters = Arc::clone(&p.counters);
-        let (charge, node) = (p.charge_sink.clone(), p.sink_node);
-        let tele = registry.as_ref().map(|r| SinkTelemetry {
-            registry: Arc::clone(r),
-            instr: r.sink_instr(),
-        });
-        std::thread::spawn(move || {
-            worker::run_sink(sink_rx, node, charge, &pacers, &counters, n_tasks, tele)
-        })
-    };
-
-    let n_sources = p.plan.sources.len();
-    let key_buckets = cfg.key_buckets.max(1);
-    let (src_ctrl, src_handles) = spawn_sources(
-        p.plan.sources,
-        cfg,
-        clock,
-        &p.pacers,
-        &p.counters,
-        &join_txs,
-        shards,
-        key_buckets,
-        &registry,
-        &tx_instr,
-    );
-
-    Plane {
-        fleet,
-        cfg: *cfg,
-        clock,
-        topology: topology.clone(),
-        pacers: p.pacers,
-        counters: p.counters,
-        shards,
-        key_buckets,
-        armed: false,
-        epoch: 0,
-        instances: p.plan.instances,
-        join_txs,
-        src_ctrl,
-        src_handles,
-        ctrl_up_rx,
-        sink_handle: Some(sink_handle),
-        n_sources,
-        stats: Vec::new(),
-        registry,
-        generation: 0,
-    }
-}
-
-enum AnyPlane {
-    Threads(Plane<ThreadFleet>),
-    Tasks(Plane<TaskFleet>),
 }
 
 /// A running, reconfigurable execution — the executor-side §3.5
@@ -1190,7 +915,7 @@ enum AnyPlane {
 /// sequence), [`ExecHandle::join`] waits for the stream to end and
 /// returns the run's [`ExecResult`].
 pub struct ExecHandle {
-    plane: AnyPlane,
+    plane: Plane,
 }
 
 impl ExecHandle {
@@ -1215,10 +940,7 @@ impl ExecHandle {
         switch: &PlanSwitch,
         mut dist: impl FnMut(NodeId, NodeId) -> f64,
     ) -> Result<EpochStats, ReconfigError> {
-        match &mut self.plane {
-            AnyPlane::Threads(p) => p.reconfigure(switch, &mut dist, None, false),
-            AnyPlane::Tasks(p) => p.reconfigure(switch, &mut dist, None, false),
-        }
+        self.plane.reconfigure(switch, &mut dist, None, false)
     }
 
     /// [`ExecHandle::apply`] with a shard-layout override: the new
@@ -1229,21 +951,14 @@ impl ExecHandle {
     /// dataflow, identity succession): the epoch protocol is the same
     /// either way, and counts are preserved on drop-free runs because
     /// shard routing never decides *what* matches.
-    ///
-    /// Scaling applies to the thread-per-shard fleets by spawning a
-    /// differently sized generation; on the async backend it resizes
-    /// the cooperative task set (the worker-thread pool stays as
-    /// launched — M:N scheduling absorbs the new task count).
     pub fn apply_scaled(
         &mut self,
         switch: &PlanSwitch,
         mut dist: impl FnMut(NodeId, NodeId) -> f64,
         scale: ShardScale,
     ) -> Result<EpochStats, ReconfigError> {
-        match &mut self.plane {
-            AnyPlane::Threads(p) => p.reconfigure(switch, &mut dist, Some(scale), false),
-            AnyPlane::Tasks(p) => p.reconfigure(switch, &mut dist, Some(scale), false),
-        }
+        self.plane
+            .reconfigure(switch, &mut dist, Some(scale), false)
     }
 
     /// Admit new source streams without a restart. The post plan must
@@ -1267,42 +982,27 @@ impl ExecHandle {
         switch: &PlanSwitch,
         mut dist: impl FnMut(NodeId, NodeId) -> f64,
     ) -> Result<EpochStats, ReconfigError> {
-        match &mut self.plane {
-            AnyPlane::Threads(p) => p.reconfigure(switch, &mut dist, None, true),
-            AnyPlane::Tasks(p) => p.reconfigure(switch, &mut dist, None, true),
-        }
+        self.plane.reconfigure(switch, &mut dist, None, true)
     }
 
     /// Shards per join instance in the current generation.
     pub fn shards(&self) -> usize {
-        match &self.plane {
-            AnyPlane::Threads(p) => p.shards,
-            AnyPlane::Tasks(p) => p.shards,
-        }
+        self.plane.shards
     }
 
     /// Key buckets of the current generation's shard routing.
     pub fn key_buckets(&self) -> usize {
-        match &self.plane {
-            AnyPlane::Threads(p) => p.key_buckets,
-            AnyPlane::Tasks(p) => p.key_buckets,
-        }
+        self.plane.key_buckets
     }
 
     /// Current virtual time of the run (ms).
     pub fn now_ms(&self) -> f64 {
-        match &self.plane {
-            AnyPlane::Threads(p) => p.clock.now_ms(),
-            AnyPlane::Tasks(p) => p.clock.now_ms(),
-        }
+        self.plane.clock.now_ms()
     }
 
     /// Stats of every reconfiguration applied so far.
     pub fn epoch_stats(&self) -> &[EpochStats] {
-        match &self.plane {
-            AnyPlane::Threads(p) => &p.stats,
-            AnyPlane::Tasks(p) => &p.stats,
-        }
+        &self.plane.stats
     }
 
     /// Take a live [`MetricsSnapshot`] of the running executor.
@@ -1317,10 +1017,7 @@ impl ExecHandle {
     /// [`crate::ExecConfig::telemetry`] disabled this degrades to the
     /// coarse shared counters (no per-shard rows, empty histograms).
     pub fn metrics(&self) -> MetricsSnapshot {
-        match &self.plane {
-            AnyPlane::Threads(p) => p.metrics(),
-            AnyPlane::Tasks(p) => p.metrics(),
-        }
+        self.plane.metrics()
     }
 
     /// Subscribe to periodic [`MetricsSnapshot`]s, one every
@@ -1340,25 +1037,19 @@ impl ExecHandle {
         &self,
         interval: std::time::Duration,
     ) -> Result<mpsc::Receiver<MetricsSnapshot>, SubscribeError> {
-        match &self.plane {
-            AnyPlane::Threads(p) => p.subscribe(interval),
-            AnyPlane::Tasks(p) => p.subscribe(interval),
-        }
+        self.plane.subscribe(interval)
     }
 
     /// Wait for the stream to end and collect the measurements.
     pub fn join(self) -> ExecResult {
-        match self.plane {
-            AnyPlane::Threads(p) => p.finish(),
-            AnyPlane::Tasks(p) => p.finish(),
-        }
+        self.plane.finish()
     }
 }
 
-/// Start a reconfigurable execution of `dataflow` on the backend the
-/// config selects — the live counterpart of [`crate::execute`]. The
-/// returned [`ExecHandle`] must be [`ExecHandle::join`]ed to collect
-/// results (the run proceeds on its own threads either way).
+/// Start a reconfigurable execution of `dataflow` — the live
+/// counterpart of [`crate::execute`]. The returned [`ExecHandle`] must
+/// be [`ExecHandle::join`]ed to collect results (the run proceeds on
+/// its own threads either way).
 pub fn launch(
     topology: &Topology,
     mut dist: impl FnMut(NodeId, NodeId) -> f64,
@@ -1366,46 +1057,14 @@ pub fn launch(
     cfg: &ExecConfig,
 ) -> Result<ExecHandle, ExecConfigError> {
     cfg.validate()?;
-    Ok(launch_unchecked(topology, &mut dist, dataflow, cfg))
-}
-
-/// [`launch`] minus the config validation — the seam `Backend::run`
-/// impls use (they keep the historical lenient clamping for direct
-/// calls).
-pub(crate) fn launch_unchecked(
-    topology: &Topology,
-    dist: &mut dyn FnMut(NodeId, NodeId) -> f64,
-    dataflow: &Dataflow,
-    cfg: &ExecConfig,
-) -> ExecHandle {
-    use crate::BackendKind;
-    let plane = match cfg.backend {
-        BackendKind::Async => AnyPlane::Tasks(launch_tasks(topology, dist, dataflow, cfg)),
-        BackendKind::Threaded => {
-            AnyPlane::Threads(launch_threads(topology, dist, dataflow, cfg, 1))
-        }
-        BackendKind::Sharded => AnyPlane::Threads(launch_threads(
-            topology,
-            dist,
-            dataflow,
-            cfg,
-            cfg.shards.max(1),
-        )),
-        BackendKind::Auto => {
-            if cfg.shards > 1 {
-                AnyPlane::Threads(launch_threads(topology, dist, dataflow, cfg, cfg.shards))
-            } else {
-                AnyPlane::Threads(launch_threads(topology, dist, dataflow, cfg, 1))
-            }
-        }
-    };
-    ExecHandle { plane }
+    Ok(ExecHandle {
+        plane: launch_threads(topology, &mut dist, dataflow, cfg),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BackendKind;
     use nova_core::baselines::{sink_based, source_based};
     use nova_core::{JoinQuery, StreamSpec};
     use nova_topology::NodeRole;
@@ -1433,16 +1092,16 @@ mod tests {
         }
     }
 
-    /// Drop-free paced config (see the backend tests for the
+    /// Drop-free paced config (see the `lib.rs` tests for the
     /// unbounded-queue rationale).
-    fn cfg(backend: BackendKind) -> ExecConfig {
+    fn cfg(shards: usize) -> ExecConfig {
         ExecConfig {
             duration_ms: 2400.0,
             window_ms: 200.0,
             selectivity: 0.7,
             time_scale: 8.0,
             max_queue_ms: f64::INFINITY,
-            backend,
+            shards,
             ..ExecConfig::default()
         }
     }
@@ -1451,7 +1110,7 @@ mod tests {
     fn route_only_reconfiguration_is_count_transparent_on_every_backend() {
         // Move the join from the sink to the sources mid-window
         // (epoch 1100 straddles [1000, 1200)): counts must equal the
-        // never-reconfigured run on every backend, because routing
+        // never-reconfigured run at every shard count, because routing
         // never decides *what* matches and the straddling window's
         // state migrates with the instance.
         let (t, q) = world();
@@ -1459,16 +1118,8 @@ mod tests {
         let pre = sink_based(&q, &plan);
         let post = source_based(&q, &plan);
         let df = Dataflow::from_baseline(&q, &pre);
-        for (backend, shards, workers) in [
-            (BackendKind::Threaded, 1usize, 0usize),
-            (BackendKind::Sharded, 4, 0),
-            (BackendKind::Async, 4, 2),
-        ] {
-            let cfg = ExecConfig {
-                shards,
-                workers,
-                ..cfg(backend)
-            };
+        for shards in [1usize, 4] {
+            let cfg = cfg(shards);
             let baseline = crate::execute(&t, flat_dist, &df, &cfg).expect("valid config");
             assert_eq!(baseline.dropped, 0);
             assert!(baseline.delivered > 0);
@@ -1479,10 +1130,10 @@ mod tests {
             assert_eq!(stats.epoch, 1);
             assert!(
                 stats.migrated_tuples > 0,
-                "{backend:?}: the straddling window must migrate state"
+                "shards={shards}: the straddling window must migrate state"
             );
             let res = handle.join();
-            let tag = format!("{backend:?}");
+            let tag = format!("shards={shards}");
             assert_eq!(res.dropped, 0, "{tag}");
             assert_eq!(res.emitted, baseline.emitted, "{tag}");
             assert_eq!(res.matched, baseline.matched, "{tag}");
@@ -1498,8 +1149,7 @@ mod tests {
         let a = sink_based(&q, &plan);
         let b = source_based(&q, &plan);
         let df = Dataflow::from_baseline(&q, &a);
-        let cfg = cfg(BackendKind::Sharded);
-        let cfg = ExecConfig { shards: 2, ..cfg };
+        let cfg = cfg(2);
         let baseline = crate::execute(&t, flat_dist, &df, &cfg).expect("valid config");
         assert_eq!(baseline.dropped, 0);
 
@@ -1522,7 +1172,7 @@ mod tests {
         let plan = q.resolve();
         let pre = sink_based(&q, &plan);
         let df = Dataflow::from_baseline(&q, &pre);
-        let cfg = cfg(BackendKind::Threaded);
+        let cfg = cfg(1);
         let mut handle = launch(&t, flat_dist, &df, &cfg).expect("valid config");
 
         // Source count change is refused.
@@ -1574,7 +1224,7 @@ mod tests {
         let cfg = ExecConfig {
             duration_ms: 4000.0,
             max_queue_ms: 250.0,
-            ..cfg(BackendKind::Threaded)
+            ..cfg(1)
         };
         let mut handle = launch(&t, flat_dist, &df, &cfg).expect("valid config");
         let sw = PlanSwitch::between(2000.0, &q, &pre, &pre, 1.0)

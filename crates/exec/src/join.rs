@@ -1,22 +1,20 @@
 //! Join workers: windowed symmetric hash joins, one state machine for
-//! every backend.
+//! every shard.
 //!
 //! `JoinCore` is the per-shard join state — the simulator's
 //! [`WindowBuffers`] (per-tumbling-window symmetric hash tables with
 //! watermark-driven garbage collection), per-source event-time
 //! frontiers, the Eof quorum and the deterministic [`match_survives`]
-//! selectivity test — factored out of the thread loop so the blocking
-//! backends ([`crate::ThreadedBackend`], [`crate::ShardedBackend`]; one
-//! OS thread per shard, `run_join`) and the cooperative
-//! [`crate::AsyncBackend`] (S shard tasks on W worker threads) drive
-//! the *same* code tuple by tuple. A given pair of tuples produces an
-//! output in every backend iff it does in the simulator.
+//! selectivity test — kept apart from the thread loop (`run_join`, one
+//! OS thread per shard) so the state machine is unit-testable without
+//! channels. A given pair of tuples produces an output at every shard
+//! count iff it does in the simulator.
 //!
 //! Watermarks are event-time based: tuples from one source arrive in
 //! event-time order over FIFO channels, so the minimum of the
 //! per-source frontiers bounds every future arrival, making garbage
 //! collection safe (and match counts deterministic) regardless of how
-//! the OS — or the cooperative scheduler — interleaves the work.
+//! the OS interleaves the work.
 
 use std::collections::HashMap;
 
@@ -28,9 +26,8 @@ use crate::metrics::{count_drop, Counters, NodePacer, ShardInstr, ShardTelemetry
 use crate::worker::CompiledInstance;
 use crate::ExecConfig;
 
-/// The backend-independent join state of one shard of one deployed
-/// instance. Callers feed it routed tuples ([`JoinCore::on_tuple`]),
-/// close out input batches ([`JoinCore::end_batch`]) and deliver Eofs
+/// The join state of one shard of one deployed instance. Callers feed
+/// it routed tuples ([`JoinCore::on_tuple`]), close out input batches ([`JoinCore::end_batch`]) and deliver Eofs
 /// ([`JoinCore::on_eof`]); it appends surviving outputs — with their
 /// out-path relay charges already paid — to the caller's batch.
 pub(crate) struct JoinCore {
@@ -56,8 +53,7 @@ pub(crate) struct JoinCore {
     matched_published: u64,
     last_gc_watermark: f64,
     /// Pre-resolved telemetry handles (None with `telemetry: false`);
-    /// set once at spawn by the control plane, so every backend's
-    /// driver loop shares the same instrumentation points.
+    /// set once at spawn by the control plane.
     telemetry: Option<ShardTelemetry>,
 }
 
@@ -89,7 +85,7 @@ impl JoinCore {
     }
 
     /// Attach the shard's pre-resolved instruments (control plane, at
-    /// spawn — before the core is handed to its worker/task).
+    /// spawn — before the core is handed to its worker).
     pub fn set_telemetry(&mut self, tele: ShardTelemetry) {
         self.telemetry = Some(tele);
     }
@@ -264,8 +260,8 @@ impl JoinCore {
     /// publication and the service-time sample. Surviving outputs
     /// append to `out`; the caller ships them downstream after the step
     /// (re-framed to its own batch size), which makes the batch the
-    /// executor's atomic unit of work — a barrier, Eof or cooperative
-    /// budget pause can only ever fall *between* batches.
+    /// executor's atomic unit of work — a barrier or Eof can only ever
+    /// fall *between* batches.
     // lint: no_alloc hot_path — one batch per state-machine step;
     // steady state must not allocate per batch.
     pub fn on_batch(
@@ -317,7 +313,7 @@ impl JoinCore {
     }
 }
 
-/// Blocking join worker loop for one shard (thread-per-shard backends).
+/// Blocking join worker loop for one shard.
 /// Consumes input batches until all producing sources signalled Eof —
 /// then flushes and sends its sink Eof — or until an epoch barrier
 /// completes, in which case the shard *quiesces*: flushes, publishes

@@ -29,40 +29,31 @@
 //! uncongested runs deliver *count-identical* results across
 //! executions; only per-output timestamps vary with OS scheduling.
 //!
-//! ## Backends
+//! ## Parallelism
 //!
-//! Execution is behind the [`Backend`] trait; three implementations
-//! share one compiled plan, one channel discipline and one join state
-//! machine (`join::JoinCore`):
-//!
-//! * [`ThreadedBackend`] — thread-per-operator, the baseline;
-//! * [`ShardedBackend`] — fans each join instance out to
-//!   [`ExecConfig::shards`] worker *threads*, hash-partitioned by
-//!   `(window, pair, key bucket)` so shards share no state and counts
-//!   stay identical (see [`sharded`]). With multiple
-//!   [`ExecConfig::key_buckets`] even a single hot pair with one giant
-//!   window splits by join sub-key across shards — the backend scales
-//!   with cores, not with the number of pairs;
-//! * [`AsyncBackend`] — the same shard layout as cooperative *tasks*
-//!   on an M:N event loop: S = instances × shards tasks multiplexed
-//!   onto [`ExecConfig::workers`] threads (W ≤ cores, S ≫ W fine), so
-//!   shard counts beyond the core count stop costing OS threads (see
-//!   [`async_backend`] and [`sched`]).
-//!
-//! [`backend_for`] picks the engine from [`ExecConfig::backend`];
-//! further backends (NUMA-pinned pools) plug in without touching
-//! callers.
+//! There is one engine. [`ExecConfig::shards`] is the only thing that
+//! selects parallelism: `1` is thread-per-operator, `N` fans each join
+//! instance out to `N` worker threads, hash-partitioned by `(window,
+//! pair, key bucket)` so shards share no state and counts stay
+//! identical (see [`sharded`]). With multiple
+//! [`ExecConfig::key_buckets`] even a single hot pair with one giant
+//! window splits by join sub-key across shards — the executor scales
+//! with cores, not with the number of pairs. Every shard runs the same
+//! join state machine (`join::JoinCore`) behind the same bounded
+//! channels ([`channel`]); DESIGN.md §5 records why the earlier M:N
+//! cooperative scheduler was removed.
 //!
 //! ## Example
 //!
-//! Place a 1-pair query at the sink, run it on each backend and check
-//! they agree (the count-identity invariant the test suite pins at
-//! scale — see `tests/exec_vs_sim.rs`):
+//! Place a 1-pair query at the sink, run it unsharded and on four
+//! shards per instance and check they agree (the count-identity
+//! invariant the test suite pins at scale — see
+//! `tests/exec_vs_sim.rs`):
 //!
 //! ```
 //! use nova_core::baselines::sink_based;
 //! use nova_core::{JoinQuery, StreamSpec};
-//! use nova_exec::{execute, BackendKind, ExecConfig};
+//! use nova_exec::{execute, ExecConfig};
 //! use nova_runtime::Dataflow;
 //! use nova_topology::{NodeRole, Topology};
 //!
@@ -88,36 +79,29 @@
 //!     max_queue_ms: f64::INFINITY,   // drop-free ⇒ counts are exact
 //!     ..ExecConfig::default()
 //! };
-//! let threaded = execute(&t, dist, &df, &cfg).expect("config is valid");
-//! assert!(threaded.delivered > 0);
+//! let unsharded = execute(&t, dist, &df, &cfg).expect("config is valid");
+//! assert!(unsharded.delivered > 0);
 //!
-//! // Same run on the M:N event loop: 4 shard tasks, 2 worker threads.
-//! let async_cfg = ExecConfig {
-//!     backend: BackendKind::Async,
-//!     shards: 4,
-//!     workers: 2,
-//!     ..cfg
-//! };
-//! let cooperative = execute(&t, dist, &df, &async_cfg).expect("config is valid");
-//! assert_eq!(cooperative.matched, threaded.matched);
-//! assert_eq!(cooperative.delivered, threaded.delivered);
+//! // Same run with the instance fanned out to 4 shard threads.
+//! let sharded_cfg = ExecConfig { shards: 4, ..cfg };
+//! let sharded = execute(&t, dist, &df, &sharded_cfg).expect("config is valid");
+//! assert_eq!(sharded.matched, unsharded.matched);
+//! assert_eq!(sharded.delivered, unsharded.delivered);
+//! assert_eq!(sharded.threads, unsharded.threads + 3);
 //! ```
 
 pub(crate) mod affinity;
-pub mod async_backend;
 pub mod autoscale;
 pub mod channel;
 pub mod control;
 pub mod join;
 pub mod metrics;
-pub mod sched;
 pub mod sharded;
 pub mod worker;
 
 use nova_runtime::{Dataflow, SimConfig};
 use nova_topology::{NodeId, Topology};
 
-pub use async_backend::{effective_workers, AsyncBackend};
 pub use autoscale::{
     AutoscaleConfig, AutoscaleReport, Autoscaler, Decision, DecisionRecord, DistFn, Evaluation,
     Policy, RecordedSwitch, Relocator,
@@ -128,7 +112,7 @@ pub use metrics::{
     NodeSnapshot, ShardSnapshot, SourceSnapshot, SubscribeError, TraceEvent, TraceKind,
 };
 pub use nova_runtime::PlanSwitch;
-pub use sharded::{key_bucket_of, shard_of, ShardedBackend};
+pub use sharded::{key_bucket_of, shard_of};
 pub use worker::VirtualClock;
 
 /// Executor parameters. The virtual-domain fields mirror
@@ -170,7 +154,7 @@ pub struct ExecConfig {
     /// Join shards per deployed instance. 1 = classic thread-per-
     /// operator; >1 hash-partitions each instance's tuples by
     /// `(window, pair, key bucket)` across that many dedicated worker
-    /// threads ([`ShardedBackend`]). Count results are identical either
+    /// threads (see [`sharded`]). Count results are identical either
     /// way on drop-free runs.
     pub shards: usize,
     /// Cardinality of the per-tuple join sub-key space (workload
@@ -180,7 +164,7 @@ pub struct ExecConfig {
     /// matching to equal sub-keys.
     pub key_space: u32,
     /// Key buckets for shard routing (runtime knob). 1 reproduces the
-    /// `(window, pair)` routing of the unkeyed sharded backend exactly;
+    /// unkeyed `(window, pair)` shard routing exactly;
     /// larger values additionally hash-split each join instance's
     /// window state by sub-key into this many buckets, so even a single
     /// hot pair with one giant window spreads across shards. Any value
@@ -188,32 +172,6 @@ pub struct ExecConfig {
     /// match/delivery counts: matching requires *equal* sub-keys and
     /// co-keyed tuples always co-locate (see [`sharded::key_bucket_of`]).
     pub key_buckets: usize,
-    /// Which execution engine runs the dataflow.
-    /// [`BackendKind::Auto`] (the default) preserves the historical
-    /// rule — `shards > 1` selects [`ShardedBackend`], else
-    /// [`ThreadedBackend`] — so existing configs behave unchanged;
-    /// [`BackendKind::Async`] must be requested explicitly.
-    pub backend: BackendKind,
-    /// Worker threads of the [`AsyncBackend`] event loop (ignored by
-    /// the thread-per-shard backends, which spawn one thread per
-    /// shard). 0 = one worker per core. Any value is capped at the
-    /// task count (instances × shards) — beyond that workers would
-    /// only park. Invariant: the worker count never changes *what* is
-    /// computed, only how many tasks run concurrently; `workers = 1`
-    /// is count-identical to [`ThreadedBackend`].
-    pub workers: usize,
-    /// Run budget of one cooperative poll: the maximum number of
-    /// input messages (tuple batches, Eofs, barriers) an
-    /// [`AsyncBackend`] shard task consumes before it yields back to
-    /// the ready queue (ignored by the thread-per-shard backends).
-    /// Bounds the latency skew between shards co-scheduled on one
-    /// worker; small budgets trade throughput (more scheduler
-    /// round-trips) for fairness. Clamped to ≥ 1. Invariant: pauses
-    /// land only *between* batches — the batch is the atomic unit of
-    /// work — and tasks resume at the next message, so any budget
-    /// yields identical counts (`run_budget = 1` processes exactly one
-    /// message per poll).
-    pub run_budget: usize,
     /// Wall-clock grace (ms) [`ExecHandle::apply`] grants the old
     /// shard generation to quiesce before giving up with
     /// [`control::ReconfigError::QuiesceTimeout`]. Quiescing is
@@ -222,9 +180,8 @@ pub struct ExecConfig {
     /// that deliberately arm unreachable epochs shrink it. Must be
     /// positive and finite.
     pub quiesce_grace_ms: f64,
-    /// Pin join workers to cores. `true` pins each thread-per-shard
-    /// worker — and each [`AsyncBackend`] pool worker — to one core,
-    /// round-robin over the machine's cores (`false`, the default,
+    /// Pin join workers to cores. `true` pins each shard thread to one
+    /// core, round-robin over the machine's cores (`false`, the default,
     /// leaves placement to the OS scheduler). Sources and the sink stay
     /// unpinned either way. A performance hint only: pinning is
     /// silently skipped where unsupported (non-Linux, cpuset-restricted
@@ -240,36 +197,6 @@ pub struct ExecConfig {
     /// carry no instrument handles and snapshots degrade to the coarse
     /// shared [`Counters`].
     pub telemetry: bool,
-}
-
-/// Which [`Backend`] implementation [`backend_for`] resolves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// The historical rule: [`ShardedBackend`] when
-    /// [`ExecConfig::shards`] > 1, [`ThreadedBackend`] otherwise.
-    #[default]
-    Auto,
-    /// Thread-per-operator baseline (ignores `shards`).
-    Threaded,
-    /// One OS thread per shard.
-    Sharded,
-    /// M:N cooperative event loop: shard tasks on
-    /// [`ExecConfig::workers`] threads.
-    Async,
-}
-
-impl BackendKind {
-    /// Parse the `--backend` flag value used by the fig binaries and
-    /// the smoke harness.
-    pub fn parse(name: &str) -> Option<BackendKind> {
-        match name {
-            "auto" => Some(BackendKind::Auto),
-            "threaded" => Some(BackendKind::Threaded),
-            "sharded" => Some(BackendKind::Sharded),
-            "async" => Some(BackendKind::Async),
-            _ => None,
-        }
-    }
 }
 
 impl Default for ExecConfig {
@@ -289,9 +216,6 @@ impl Default for ExecConfig {
             shards: 1,
             key_space: 1,
             key_buckets: 1,
-            backend: BackendKind::Auto,
-            workers: 0,
-            run_budget: 2048,
             quiesce_grace_ms: 60_000.0,
             pin_workers: false,
             telemetry: true,
@@ -321,8 +245,7 @@ impl ExecConfig {
     /// router calling [`shard_of`]-style arithmetic directly, divide by
     /// zero). [`execute`] and [`launch`] run this at entry so a typo'd
     /// `--shards 0` fails loudly at the boundary instead of producing a
-    /// quietly different engine. `workers: 0` stays legal — it is the
-    /// documented "one per core" auto value.
+    /// quietly different layout.
     pub fn validate(&self) -> Result<(), ExecConfigError> {
         if self.shards == 0 {
             return Err(ExecConfigError::ZeroShards);
@@ -332,9 +255,6 @@ impl ExecConfig {
         }
         if self.key_space == 0 {
             return Err(ExecConfigError::ZeroKeySpace);
-        }
-        if self.run_budget == 0 {
-            return Err(ExecConfigError::ZeroRunBudget);
         }
         if self.batch_size == 0 {
             return Err(ExecConfigError::ZeroBatchSize);
@@ -358,10 +278,6 @@ pub enum ExecConfigError {
     /// `key_space == 0`: the sub-key space is a workload property with
     /// minimum cardinality 1 (= unkeyed).
     ZeroKeySpace,
-    /// `run_budget == 0`: a zero-budget poll cannot make progress; the
-    /// async scheduler would spin through yields forever without it
-    /// being clamped.
-    ZeroRunBudget,
     /// `batch_size == 0`: a zero-capacity batch can never fill, so
     /// sources would buffer forever and flush nothing.
     ZeroBatchSize,
@@ -388,10 +304,6 @@ impl std::fmt::Display for ExecConfigError {
                 f,
                 "ExecConfig::key_space must be >= 1 (1 = unkeyed workload, sub-key 0)"
             ),
-            ExecConfigError::ZeroRunBudget => write!(
-                f,
-                "ExecConfig::run_budget must be >= 1 message per cooperative poll"
-            ),
             ExecConfigError::ZeroBatchSize => write!(
                 f,
                 "ExecConfig::batch_size must be >= 1 tuple per channel batch"
@@ -406,86 +318,22 @@ impl std::fmt::Display for ExecConfigError {
 
 impl std::error::Error for ExecConfigError {}
 
-/// An execution engine for deployed dataflows.
-///
-/// The simulator and every executor backend take the same inputs, so
-/// experiments can swap "model the cluster" for "run it" with one call.
-pub trait Backend {
-    /// Human-readable backend name (for reports).
-    fn name(&self) -> &'static str;
-
-    /// Execute `dataflow` on `topology` under the latency oracle
-    /// `dist` and return the collected measurements.
-    fn run(
-        &self,
-        topology: &Topology,
-        dist: &mut dyn FnMut(NodeId, NodeId) -> f64,
-        dataflow: &Dataflow,
-        cfg: &ExecConfig,
-    ) -> ExecResult;
-}
-
-/// Thread-per-operator backend: one OS thread per source task, join
-/// instance and sink, bounded channels in between. Ignores
-/// [`ExecConfig::shards`] — it is the single-worker-per-instance
-/// baseline that [`ShardedBackend`] is measured against. Both backends
-/// share one bootstrap (`sharded::run_with_shards`, pinned at 1 shard
-/// here), so they cannot drift apart in channel wiring, sink quorum or
-/// accounting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadedBackend;
-
-impl Backend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn run(
-        &self,
-        topology: &Topology,
-        dist: &mut dyn FnMut(NodeId, NodeId) -> f64,
-        dataflow: &Dataflow,
-        cfg: &ExecConfig,
-    ) -> ExecResult {
-        sharded::run_with_shards(topology, dist, dataflow, cfg, 1)
-    }
-}
-
-/// The backend a configuration selects — the single seam through which
-/// `execute`, `nova_bench::run_placement_real` and the examples pick an
-/// engine. [`ExecConfig::backend`] decides; its `Auto` default keeps
-/// the historical rule ([`ShardedBackend`] when `cfg.shards > 1`, the
-/// thread-per-operator [`ThreadedBackend`] otherwise).
-pub fn backend_for(cfg: &ExecConfig) -> &'static dyn Backend {
-    match cfg.backend {
-        BackendKind::Auto => {
-            if cfg.shards > 1 {
-                &ShardedBackend
-            } else {
-                &ThreadedBackend
-            }
-        }
-        BackendKind::Threaded => &ThreadedBackend,
-        BackendKind::Sharded => &ShardedBackend,
-        BackendKind::Async => &AsyncBackend,
-    }
-}
-
-/// Execute a dataflow on the backend selected by [`backend_for`] — the
-/// executor-side counterpart of [`nova_runtime::simulate`].
+/// Execute a dataflow to completion — the executor-side counterpart of
+/// [`nova_runtime::simulate`]. A plain run is a reconfigurable run that
+/// never reconfigures: this is [`launch`] followed by
+/// [`ExecHandle::join`].
 ///
 /// The configuration is validated at entry: zero-valued knobs
-/// (`shards`, `key_buckets`, `key_space`, `run_budget`, `batch_size`)
-/// return a descriptive [`ExecConfigError`] instead of being clamped
-/// silently — or worse, panicking or spinning deep inside a worker.
+/// (`shards`, `key_buckets`, `key_space`, `batch_size`) return a
+/// descriptive [`ExecConfigError`] instead of being clamped silently —
+/// or worse, panicking deep inside a worker.
 pub fn execute(
     topology: &Topology,
-    mut dist: impl FnMut(NodeId, NodeId) -> f64,
+    dist: impl FnMut(NodeId, NodeId) -> f64,
     dataflow: &Dataflow,
     cfg: &ExecConfig,
 ) -> Result<ExecResult, ExecConfigError> {
-    cfg.validate()?;
-    Ok(backend_for(cfg).run(topology, &mut dist, dataflow, cfg))
+    Ok(launch(topology, dist, dataflow, cfg)?.join())
 }
 
 #[cfg(test)]
@@ -604,9 +452,9 @@ mod tests {
 
     #[test]
     fn zero_knob_configs_error_instead_of_panicking_or_hanging() {
-        // Regression (bug sweep): shards/key_buckets/key_space/
-        // run_budget of 0 used to be clamped silently inside the
-        // backends — and a hand-rolled caller doing `x % shards`
+        // Regression (bug sweep): shards/key_buckets/key_space of 0
+        // used to be clamped silently inside the executor — and a
+        // hand-rolled caller doing `x % shards`
         // arithmetic would panic. Each zero knob must now fail loudly
         // at the `execute` boundary with a descriptive error.
         let (t, q) = world(1000.0, 1000.0, 1000.0);
@@ -635,14 +483,6 @@ mod tests {
             ),
             (
                 ExecConfig {
-                    run_budget: 0,
-                    backend: BackendKind::Async,
-                    ..base
-                },
-                ExecConfigError::ZeroRunBudget,
-            ),
-            (
-                ExecConfig {
                     batch_size: 0,
                     ..base
                 },
@@ -655,14 +495,6 @@ mod tests {
             // The message names the knob — "descriptive error".
             assert!(format!("{want}").contains("must be >= 1"), "{want}");
         }
-        // workers: 0 stays legal (documented auto value).
-        let auto_workers = ExecConfig {
-            workers: 0,
-            backend: BackendKind::Async,
-            ..base
-        };
-        assert_eq!(auto_workers.validate(), Ok(()));
-        assert!(execute(&t, flat_dist, &df, &auto_workers).is_ok());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! Everything above was historically observable only *after*
 //! [`crate::ExecHandle::join`] returned. The [`MetricsRegistry`] turns
 //! it into a live feed: per-shard / per-source / per-node instruments
-//! that every backend updates on the hot path through **pre-resolved
+//! that every worker updates on the hot path through **pre-resolved
 //! handles** — each worker holds an `Arc` to its own instrument struct,
 //! resolved once at spawn, so a hot-path update is a single
 //! `fetch_add(_, Ordering::Relaxed)` on an uncontended cache line (no
@@ -38,7 +38,7 @@
 //! [`ExecResult`] counts — rather than a point-in-time atomic cut
 //! (which would require stopping the world). That is exactly the
 //! contract a sampling controller needs, and what the telemetry tests
-//! pin across live reconfigurations on all three backends.
+//! pin across live reconfigurations at every shard count.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,7 +49,6 @@ use nova_runtime::OutputRecord;
 use nova_topology::NodeId;
 
 use crate::control::EpochStats;
-use crate::sched::Scheduler;
 use crate::worker::{CompiledInstance, VirtualClock};
 
 /// Lock-free single-server queue clock for one node.
@@ -475,7 +474,7 @@ pub enum TraceKind {
     GenerationSpawn {
         /// Generation number (0 at launch).
         generation: u64,
-        /// Number of shard workers/tasks in the generation.
+        /// Number of shard workers in the generation.
         shard_workers: usize,
     },
     /// Sources resumed after a completed reconfiguration.
@@ -518,7 +517,7 @@ impl SourceInstr {
     }
 }
 
-/// Per-shard instrument: one per shard worker/task per generation,
+/// Per-shard instrument: one per shard worker per generation,
 /// resolved at spawn and shared with the sources that feed it (the
 /// send-side counters double as the channel-depth gauge inputs).
 #[derive(Debug)]
@@ -579,8 +578,8 @@ impl ShardInstr {
 
     pub(crate) fn retire(&self) {
         // ORDERING: liveness flag for snapshot labeling only; the
-        // epoch protocol itself synchronizes through the scheduler,
-        // not through this bit.
+        // epoch protocol itself synchronizes through the control
+        // channel, not through this bit.
         self.retired.store(true, Ordering::Relaxed);
     }
 }
@@ -688,8 +687,8 @@ impl SourceTelemetry {
     }
 }
 
-/// Pre-resolved telemetry handles for one shard worker/task (carried by
-/// [`crate::join::JoinCore`] so all three backends share the hooks).
+/// Pre-resolved telemetry handles for one shard worker (carried by
+/// its [`crate::join::JoinCore`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ShardTelemetry {
     pub registry: Arc<MetricsRegistry>,
@@ -732,9 +731,6 @@ pub struct MetricsRegistry {
     trace: Mutex<VecDeque<TraceEvent>>,
     trace_seq: AtomicU64,
     epochs: Mutex<Vec<EpochStats>>,
-    /// Scheduler of the async backend, when that backend is running —
-    /// snapshot reads its live-task gauge.
-    sched: Mutex<Option<Arc<Scheduler>>>,
     /// Set by the control plane once every worker has joined and all
     /// counts are final; the subscription sampler sends one last
     /// snapshot (equal to the [`ExecResult`] counts) and exits.
@@ -769,7 +765,6 @@ impl MetricsRegistry {
             trace: Mutex::new(VecDeque::new()),
             trace_seq: AtomicU64::new(0),
             epochs: Mutex::new(Vec::new()),
-            sched: Mutex::new(None),
             finished: AtomicBool::new(false),
         })
     }
@@ -828,12 +823,6 @@ impl MetricsRegistry {
 
     pub(crate) fn sink_instr(&self) -> Arc<SinkInstr> {
         Arc::clone(&self.sink)
-    }
-
-    pub(crate) fn attach_scheduler(&self, sched: Arc<Scheduler>) {
-        // lint: allow(lock, once per backend launch) allow(panic,
-        // poisoned roster — see register_source)
-        *self.sched.lock().expect("registry poisoned") = Some(sched);
     }
 
     #[inline]
@@ -964,12 +953,6 @@ impl MetricsRegistry {
             delivered: self.sink.delivered.load(Ordering::Relaxed),
             dropped: self.counters.dropped.load(Ordering::Relaxed),
             sink_queued_tuples: out_total.saturating_sub(sink_seen),
-            live_tasks: self
-                .sched
-                .lock()
-                .expect("registry poisoned")
-                .as_ref()
-                .map(|s| s.live_tasks()),
             shards,
             sources,
             nodes,
@@ -1085,7 +1068,7 @@ pub struct NodeSnapshot {
 ///
 /// Counters never decrease between consecutive snapshots of the same
 /// run, and the final snapshot's totals equal the [`ExecResult`]
-/// counts. Gauges (`queued_*`, `backlog_ms`, `live_tasks`) are derived
+/// counts. Gauges (`queued_*`, `backlog_ms`) are derived
 /// from counter pairs at read time.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
@@ -1103,8 +1086,6 @@ pub struct MetricsSnapshot {
     pub dropped: u64,
     /// Sink-channel depth in tuples (flushed − seen by the sink).
     pub sink_queued_tuples: u64,
-    /// Live tasks in the async backend's scheduler (None elsewhere).
-    pub live_tasks: Option<usize>,
     /// Per-shard instruments, all generations, spawn order.
     pub shards: Vec<ShardSnapshot>,
     /// Per-source instruments.
@@ -1152,7 +1133,6 @@ impl MetricsSnapshot {
             delivered: 0,
             dropped: counters.dropped.load(Ordering::Relaxed),
             sink_queued_tuples: 0,
-            live_tasks: None,
             shards: Vec::new(),
             sources: Vec::new(),
             nodes: pacers
@@ -1186,10 +1166,6 @@ impl MetricsSnapshot {
             self.dropped,
             self.sink_queued_tuples,
         ));
-        match self.live_tasks {
-            Some(n) => s.push_str(&format!(",\"live_tasks\":{n}")),
-            None => s.push_str(",\"live_tasks\":null"),
-        }
         s.push_str(&format!(
             ",\"latency_p50_ms\":{},\"latency_p99_ms\":{},\"latency_count\":{}",
             jnum(self.latency.quantile(0.50)),
@@ -1269,10 +1245,6 @@ impl MetricsSnapshot {
             "nova_sink_queue_depth_tuples {}\n",
             self.sink_queued_tuples
         ));
-        if let Some(n) = self.live_tasks {
-            s.push_str("# TYPE nova_sched_live_tasks gauge\n");
-            s.push_str(&format!("nova_sched_live_tasks {n}\n"));
-        }
         s.push_str("# TYPE nova_source_emitted_total counter\n");
         for src in &self.sources {
             s.push_str(&format!(

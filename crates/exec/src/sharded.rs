@@ -1,8 +1,8 @@
 //! Intra-operator sharding: N join workers per deployed instance.
 //!
-//! [`ShardedBackend`] fans every join instance out to
-//! [`ExecConfig::shards`] worker threads, each owning a disjoint slice
-//! of the instance's window state. Tuples are hash-partitioned at the
+//! The executor fans every join instance out to
+//! [`crate::ExecConfig::shards`] worker threads, each owning a disjoint
+//! slice of the instance's window state. Tuples are hash-partitioned at the
 //! source by `(window, pair, key bucket)`: any two tuples that could
 //! ever match share all three coordinates — matching is per instance
 //! (i.e. per pair), per tumbling window, and (for keyed workloads,
@@ -18,11 +18,11 @@
 //! * **windows × pairs** (PR 2's axis, always on): different windows
 //!   and pairs hash to different shards — enough when the workload has
 //!   many pairs or small windows;
-//! * **key buckets** ([`ExecConfig::key_buckets`] > 1): a *single hot
+//! * **key buckets** ([`crate::ExecConfig::key_buckets`] > 1): a *single hot
 //!   pair with one giant window* — the skew case where the first axis
 //!   degenerates to one shard — is hash-split by join sub-key, so its
 //!   window state and probe work spread across all shards and the
-//!   backend scales with cores even on one pair.
+//!   executor scales with cores even on one pair.
 //!
 //! `key_buckets = 1` keeps every sub-key in bucket 0 and reproduces the
 //! PR 2 `(window, pair)` routing bit-for-bit (property-tested in
@@ -33,7 +33,7 @@
 //! Window assignment, the shard hash and the selectivity test are pure
 //! functions of the config seed and event times, so on drop-free runs
 //! `emitted` / `matched` / `delivered` are *identical* to
-//! [`crate::ThreadedBackend`] and to the simulator — regardless of
+//! the unsharded (`shards = 1`) run and to the simulator — regardless of
 //! shard count or OS scheduling. Per-shard watermarks (min event-time
 //! frontier over the sources feeding the instance) drive garbage
 //! collection exactly as in the unsharded worker: a shard sees each
@@ -57,19 +57,14 @@
 //! autoscaler needs to tell "one hot shard" from "all shards busy".
 
 use nova_core::PairId;
-use nova_runtime::Dataflow;
-use nova_topology::{NodeId, Topology};
-
-use crate::metrics::ExecResult;
-use crate::{Backend, ExecConfig};
 
 /// Shard owning the `(window, pair, key bucket)` slice, for `shards`
 /// shards.
 ///
 /// A 64-bit finalizer mix over the window id, pair id and key bucket;
-/// pure, so the routing decision is identical across sources, runs and
-/// backends. `bucket = 0` — every tuple of an unkeyed workload, and
-/// every tuple when `key_buckets = 1` — contributes nothing to the mix,
+/// pure, so the routing decision is identical across sources and
+/// runs. `bucket = 0` — every tuple of an unkeyed workload, and every
+/// tuple when `key_buckets = 1` — contributes nothing to the mix,
 /// so the function then equals PR 2's `(window, pair)` routing exactly:
 /// existing scaling numbers and shard layouts are reproduced
 /// bit-for-bit.
@@ -107,55 +102,14 @@ pub fn key_bucket_of(subkey: u32, key_buckets: usize) -> u32 {
     (x % key_buckets as u64) as u32
 }
 
-/// Multi-core backend: one OS thread per source task, `shards` join
-/// workers per instance, and the sink. Reads the shard count from
-/// [`ExecConfig::shards`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardedBackend;
-
-impl Backend for ShardedBackend {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn run(
-        &self,
-        topology: &Topology,
-        dist: &mut dyn FnMut(NodeId, NodeId) -> f64,
-        dataflow: &Dataflow,
-        cfg: &ExecConfig,
-    ) -> ExecResult {
-        run_with_shards(topology, dist, dataflow, cfg, cfg.shards.max(1))
-    }
-}
-
-/// The executor bootstrap shared by every threaded backend: `shards`
-/// join workers per deployed instance, hash-partitioned at the source.
-/// `shards = 1` is exactly the classic thread-per-operator layout, so
-/// [`crate::ThreadedBackend`] delegates here too — one copy of the
-/// channel wiring, spawn loops, sink quorum and result assembly to keep
-/// correct, with no possibility of the backends drifting apart. Since
-/// the control plane landed, that one copy is
-/// `crate::control::launch_threads` (shared further with the live
-/// reconfiguration path — a plain run is a reconfigurable run that
-/// never reconfigures).
-pub(crate) fn run_with_shards(
-    topology: &Topology,
-    dist: &mut dyn FnMut(NodeId, NodeId) -> f64,
-    dataflow: &Dataflow,
-    cfg: &ExecConfig,
-    shards: usize,
-) -> ExecResult {
-    crate::control::launch_threads(topology, dist, dataflow, cfg, shards).finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ThreadedBackend;
+    use crate::{execute, ExecConfig};
     use nova_core::baselines::sink_based;
     use nova_core::{JoinQuery, StreamSpec};
-    use nova_topology::NodeRole;
+    use nova_runtime::Dataflow;
+    use nova_topology::{NodeId, NodeRole, Topology};
 
     fn world() -> (Topology, Dataflow) {
         let mut t = Topology::new();
@@ -239,13 +193,11 @@ mod tests {
             max_queue_ms: f64::INFINITY,
             ..ExecConfig::default()
         };
-        let mut dist = flat_dist;
-        let threaded = ThreadedBackend.run(&t, &mut dist, &df, &base);
+        let threaded = execute(&t, flat_dist, &df, &base).expect("valid config");
         assert_eq!(threaded.dropped, 0, "scenario must stay uncongested");
         for shards in [1usize, 2, 4] {
             let cfg = ExecConfig { shards, ..base };
-            let mut dist = flat_dist;
-            let sharded = ShardedBackend.run(&t, &mut dist, &df, &cfg);
+            let sharded = execute(&t, flat_dist, &df, &cfg).expect("valid config");
             assert_eq!(sharded.dropped, 0);
             assert_eq!(sharded.emitted, threaded.emitted, "shards={shards}");
             assert_eq!(sharded.matched, threaded.matched, "shards={shards}");
@@ -275,8 +227,7 @@ mod tests {
             max_queue_ms: f64::INFINITY,
             ..ExecConfig::default()
         };
-        let mut dist = flat_dist;
-        let threaded = ThreadedBackend.run(&t, &mut dist, &df, &base);
+        let threaded = execute(&t, flat_dist, &df, &base).expect("valid config");
         assert_eq!(threaded.dropped, 0, "scenario must stay uncongested");
         assert!(threaded.delivered > 0, "keyed workload must match");
         for shards in [2usize, 4] {
@@ -286,8 +237,7 @@ mod tests {
                     key_buckets,
                     ..base
                 };
-                let mut dist = flat_dist;
-                let sharded = ShardedBackend.run(&t, &mut dist, &df, &cfg);
+                let sharded = execute(&t, flat_dist, &df, &cfg).expect("valid config");
                 let tag = format!("shards={shards} buckets={key_buckets}");
                 assert_eq!(sharded.dropped, 0, "{tag}");
                 assert_eq!(sharded.emitted, threaded.emitted, "{tag}");
@@ -310,10 +260,8 @@ mod tests {
             max_queue_ms: f64::INFINITY,
             ..ExecConfig::default()
         };
-        let mut dist = flat_dist;
-        let a = ShardedBackend.run(&t, &mut dist, &df, &cfg);
-        let mut dist = flat_dist;
-        let b = ShardedBackend.run(&t, &mut dist, &df, &cfg);
+        let a = execute(&t, flat_dist, &df, &cfg).expect("valid config");
+        let b = execute(&t, flat_dist, &df, &cfg).expect("valid config");
         assert!(a.delivered > 0);
         assert_eq!(a.dropped, 0);
         assert_eq!(a.emitted, b.emitted);

@@ -16,7 +16,7 @@ use nova_topology::{NodeId, Topology};
 use rand::prelude::*;
 use std::time::Instant;
 
-use crate::channel::{BatchLane, InFlight, JoinMsg, MsgReceiver, MsgSender, SinkMsg, TupleBatch};
+use crate::channel::{InFlight, JoinMsg, Receiver, Sender, SinkMsg, TupleBatch};
 use crate::control::SourceCtrl;
 use crate::metrics::{
     count_drop, Counters, LatencyBatch, NodePacer, SinkTelemetry, SourceTelemetry,
@@ -246,12 +246,12 @@ pub(crate) fn compile(
     CompiledPlan { sources, instances }
 }
 
-/// Ship one non-empty [`TupleBatch`] down the channel's batch lane,
+/// Ship one non-empty [`TupleBatch`] down its channel,
 /// leaving a fresh batch of the same fixed capacity in its slot (the
 /// allocation travels with the message — the receiver frees it, the
 /// sender never re-touches it). True while the receiver lives.
-fn flush_batch<T: MsgSender<JoinMsg>>(
-    txs: &[T],
+fn flush_batch(
+    txs: &[Sender<JoinMsg>],
     batches: &mut [TupleBatch],
     which: usize,
     cap: usize,
@@ -263,7 +263,7 @@ fn flush_batch<T: MsgSender<JoinMsg>>(
     let source = batches[which].source();
     let batch = std::mem::replace(&mut batches[which], TupleBatch::with_capacity(source, cap));
     let n = batch.len();
-    let ok = txs[which].send_batch(batch).is_ok();
+    let ok = txs[which].send(JoinMsg::Batch(batch)).is_ok();
     if ok {
         tele.on_send(which, n);
         // Batch boundaries double as the emission-gauge flush points.
@@ -282,10 +282,8 @@ fn flush_batch<T: MsgSender<JoinMsg>>(
 /// window splits by join sub-key. `shards = 1` is the classic
 /// one-channel-per-instance layout.
 ///
-/// Generic over the channel family ([`MsgSender`]): the thread-per-shard
-/// backends hand it blocking MPSC senders, the async backend poll-based
-/// ones — the source's own sends block either way (sources are OS
-/// threads; real backpressure is the point).
+/// Sends block while a shard's buffer is full: sources are OS threads
+/// and real backpressure is the point.
 ///
 /// ## Live reconfiguration
 ///
@@ -301,16 +299,16 @@ fn flush_batch<T: MsgSender<JoinMsg>>(
 /// replay applies, which is what keeps the two engines count-identical
 /// across a reconfiguration.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_source<T: MsgSender<JoinMsg>>(
+pub(crate) fn run_source(
     mut src: CompiledSource,
     cfg: &ExecConfig,
     clock: VirtualClock,
     pacers: &[NodePacer],
     counters: &Counters,
-    mut txs: Vec<T>,
+    mut txs: Vec<Sender<JoinMsg>>,
     mut shards: usize,
     mut key_buckets: usize,
-    ctrl: &std::sync::mpsc::Receiver<SourceCtrl<T>>,
+    ctrl: &std::sync::mpsc::Receiver<SourceCtrl>,
     mut tele: SourceTelemetry,
 ) {
     let mut rng =
@@ -429,7 +427,7 @@ pub(crate) fn run_source<T: MsgSender<JoinMsg>>(
         let late = t >= epoch_ms + src.interval_ms;
         for &target in &src.targets {
             for shard in 0..shards {
-                let _ = txs[target as usize * shards + shard].send_msg(JoinMsg::Barrier {
+                let _ = txs[target as usize * shards + shard].send(JoinMsg::Barrier {
                     source: src.index,
                     epoch,
                     late,
@@ -475,8 +473,7 @@ pub(crate) fn run_source<T: MsgSender<JoinMsg>>(
 
     for &target in &src.targets {
         for shard in 0..shards {
-            let _ =
-                txs[target as usize * shards + shard].send_msg(JoinMsg::Eof { source: src.index });
+            let _ = txs[target as usize * shards + shard].send(JoinMsg::Eof { source: src.index });
         }
     }
 }
@@ -489,12 +486,12 @@ pub(crate) fn run_source<T: MsgSender<JoinMsg>>(
 /// normal [`run_source`] loop. A hang-up (or a stray `Reconfigure`)
 /// before the Resume means the run was torn down mid-admission: exit
 /// without Eofs, exactly like a source parked across a dropped handle.
-pub(crate) fn run_admitted_source<T: MsgSender<JoinMsg>>(
+pub(crate) fn run_admitted_source(
     cfg: &ExecConfig,
     clock: VirtualClock,
     pacers: &[NodePacer],
     counters: &Counters,
-    ctrl: &std::sync::mpsc::Receiver<SourceCtrl<T>>,
+    ctrl: &std::sync::mpsc::Receiver<SourceCtrl>,
     registry: Option<std::sync::Arc<crate::metrics::MetricsRegistry>>,
 ) {
     match ctrl.recv() {
@@ -532,17 +529,15 @@ pub(crate) fn run_admitted_source<T: MsgSender<JoinMsg>>(
 }
 
 /// Sink worker: charge the sink's service slot per output and record
-/// the delivered results. Returns them in arrival order. Generic over
-/// the channel family ([`MsgReceiver`]) — the sink is an OS thread and
-/// blocks while idle under every backend.
+/// the delivered results. Returns them in arrival order.
 ///
 /// A [`SinkMsg::Epoch`] (live reconfiguration) re-bases the Eof quorum
 /// and the per-instance charge table onto the new shard generation: old
 /// shards retire *without* Eofs, and the control plane orders the Epoch
 /// message after every old-generation batch and before any
 /// new-generation one.
-pub(crate) fn run_sink<R: MsgReceiver<SinkMsg>>(
-    rx: R,
+pub(crate) fn run_sink(
+    rx: Receiver<SinkMsg>,
     sink_node: usize,
     mut charge_sink: Vec<bool>,
     pacers: &[NodePacer],
@@ -556,7 +551,7 @@ pub(crate) fn run_sink<R: MsgReceiver<SinkMsg>>(
         return records;
     }
     let registry = tele.as_ref().map(|t| &*t.registry);
-    while let Some(msg) = rx.recv_msg() {
+    while let Some(msg) = rx.recv() {
         match msg {
             SinkMsg::Batch { instance, outputs } => {
                 // Per-batch accounting: one `seen` bump up front, local

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use nova_core::baselines::{host_based, sink_based};
 use nova_core::{JoinQuery, StreamSpec};
-use nova_exec::{launch, AutoscaleConfig, Autoscaler, BackendKind, ExecConfig, ReconfigError};
+use nova_exec::{launch, AutoscaleConfig, Autoscaler, ExecConfig, ReconfigError};
 use nova_runtime::{Dataflow, PlanSwitch};
 use nova_topology::{NodeId, NodeRole, Topology};
 
@@ -42,14 +42,13 @@ fn flat_dist(a: NodeId, b: NodeId) -> f64 {
     }
 }
 
-fn cfg_for(backend: BackendKind, shards: usize) -> ExecConfig {
+fn cfg_for(shards: usize) -> ExecConfig {
     ExecConfig {
         duration_ms: DURATION_MS,
         window_ms: 200.0,
         selectivity: 0.7,
         time_scale: 8.0,
         max_queue_ms: f64::INFINITY,
-        backend,
         shards,
         ..ExecConfig::default()
     }
@@ -67,7 +66,7 @@ fn empty_snapshot_feed_controller_serves_commands_and_joins() {
     let df = Dataflow::from_baseline(&q, &pre);
     let cfg = ExecConfig {
         telemetry: false,
-        ..cfg_for(BackendKind::Threaded, 1)
+        ..cfg_for(1)
     };
     let handle = launch(&t, flat_dist, &df, &cfg).expect("valid config");
     let ctl = Autoscaler::spawn(
@@ -102,7 +101,7 @@ fn zero_interval_controller_joins_without_a_feed() {
     let (t, q) = world();
     let pre = sink_based(&q, &q.resolve());
     let df = Dataflow::from_baseline(&q, &pre);
-    let cfg = cfg_for(BackendKind::Threaded, 1);
+    let cfg = cfg_for(1);
     let handle = launch(&t, flat_dist, &df, &cfg).expect("valid config");
     let ctl = Autoscaler::spawn(
         handle,
@@ -144,7 +143,7 @@ fn add_source_while_epoch_armed_is_rejected_descriptively() {
     // stream end, so no source can barrier before the deadline.
     let cfg = ExecConfig {
         quiesce_grace_ms: 1.0,
-        ..cfg_for(BackendKind::Threaded, 1)
+        ..cfg_for(1)
     };
     let mut handle = launch(&t, flat_dist, &df, &cfg).expect("valid config");
     let stuck = PlanSwitch::between(1.0e9, &q, &pre, &post, 1.0);

@@ -9,10 +9,10 @@
 //! ([`simulate_reconfigured`] with no switches — `simulate` minus the
 //! duration truncation, exactly the executor's semantics) and identical
 //! to each other across batch sizes {1, 2, 7, 64}, at every sampled
-//! (backend × workers × shards × key-buckets) combination, on a
-//! Zipfian-skewed keyed workload, including the fully starved
-//! cooperative scheduler (`run_budget = 1`: one input message per
-//! poll).
+//! (shards × key-buckets) combination, on a Zipfian-skewed keyed
+//! workload — up to 32 shards per instance, far more than the host has
+//! cores and than the workload has `(window, pair)` slices, so most
+//! shards see no tuple at all and retire on their Eofs alone.
 //!
 //! Batch size 7 is deliberately co-prime with every rate and shard
 //! count in the world, so source flushes constantly split emission
@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 
 use nova_core::baselines::sink_based;
 use nova_core::{JoinQuery, StreamSpec};
-use nova_exec::{execute, BackendKind, ExecConfig};
+use nova_exec::{execute, ExecConfig};
 use nova_runtime::{simulate_reconfigured, Dataflow, SimConfig, SimResult};
 use nova_topology::{NodeId, NodeRole, Topology};
 use proptest::prelude::*;
@@ -105,65 +105,30 @@ fn assert_counts_match_sim(cfg: &ExecConfig, tag: &str) {
     assert_eq!(res.delivered, sim.delivered, "{tag}: delivered diverged");
 }
 
-/// The full deterministic matrix: every (backend × workers × shards ×
-/// key-buckets) combination in the grid below, at every batch size in
+/// The full deterministic matrix: every (shards × key-buckets)
+/// combination in the grid below, at every batch size in
 /// {1, 2, 7, 64}, lands on the simulator's counts exactly — batching
 /// is invisible to the join.
 #[test]
 fn every_batch_size_is_count_identical_across_the_backend_matrix() {
-    // (backend, workers, shards, key_buckets): threaded is the single
-    // sequential worker; sharded crosses shard counts with bucket
-    // counts; async adds the worker dimension (W < S and W = S).
-    let grid: &[(BackendKind, usize, usize, usize)] = &[
-        (BackendKind::Threaded, 0, 1, 1),
-        (BackendKind::Sharded, 0, 2, 1),
-        (BackendKind::Sharded, 0, 2, 8),
-        (BackendKind::Sharded, 0, 4, 1),
-        (BackendKind::Sharded, 0, 4, 8),
-        (BackendKind::Async, 1, 4, 1),
-        (BackendKind::Async, 1, 4, 8),
-        (BackendKind::Async, 2, 4, 1),
-        (BackendKind::Async, 2, 4, 8),
-        (BackendKind::Async, 2, 16, 8),
-    ];
-    for &(backend, workers, shards, key_buckets) in grid {
+    // (shards, key_buckets): one shard is the single sequential
+    // worker; the rest cross shard counts with bucket counts. The
+    // 32-shard row is S ≫ cores with `(window, pair)` routing: seven
+    // windows per pair reach at most seven of an instance's 32 shards,
+    // so most shard threads receive nothing but Eofs and must still
+    // retire cleanly and close the sink's quorum.
+    let grid: &[(usize, usize)] = &[(1, 1), (2, 1), (2, 8), (4, 1), (4, 8), (32, 1)];
+    for &(shards, key_buckets) in grid {
         for batch_size in BATCH_SIZES {
             let cfg = ExecConfig {
-                backend,
-                workers,
                 shards,
                 key_buckets,
                 batch_size,
                 ..ExecConfig::from_sim(&sim_cfg(), 16.0)
             };
-            let tag = format!(
-                "{backend:?} workers={workers} shards={shards} \
-                 buckets={key_buckets} batch={batch_size}"
-            );
+            let tag = format!("shards={shards} buckets={key_buckets} batch={batch_size}");
             assert_counts_match_sim(&cfg, &tag);
         }
-    }
-}
-
-/// The starved cooperative scheduler: `run_budget = 1` forces every
-/// shard task to yield after a *single* input message, so each
-/// `TupleBatch` is processed whole and the task pauses between batches
-/// thousands of times per run. Counts must still be exact at every
-/// batch size — the pause points sit on batch boundaries, never inside
-/// one.
-#[test]
-fn run_budget_one_pauses_between_batches_without_losing_counts() {
-    for batch_size in BATCH_SIZES {
-        let cfg = ExecConfig {
-            backend: BackendKind::Async,
-            workers: 2,
-            shards: 8,
-            key_buckets: 8,
-            run_budget: 1,
-            batch_size,
-            ..ExecConfig::from_sim(&sim_cfg(), 16.0)
-        };
-        assert_counts_match_sim(&cfg, &format!("run_budget=1 batch={batch_size}"));
     }
 }
 
@@ -173,23 +138,16 @@ fn run_budget_one_pauses_between_batches_without_losing_counts() {
 /// identity at every batch size.
 #[test]
 fn pinned_workers_preserve_exact_counts() {
-    for (backend, workers, shards) in [
-        (BackendKind::Sharded, 0usize, 4usize),
-        (BackendKind::Async, 2, 8),
-    ] {
-        for batch_size in [1usize, 64] {
-            let cfg = ExecConfig {
-                backend,
-                workers,
-                shards,
-                key_buckets: 8,
-                pin_workers: true,
-                batch_size,
-                ..ExecConfig::from_sim(&sim_cfg(), 16.0)
-            };
-            let tag = format!("pinned {backend:?} shards={shards} batch={batch_size}");
-            assert_counts_match_sim(&cfg, &tag);
-        }
+    for batch_size in [1usize, 64] {
+        let cfg = ExecConfig {
+            shards: 4,
+            key_buckets: 8,
+            pin_workers: true,
+            batch_size,
+            ..ExecConfig::from_sim(&sim_cfg(), 16.0)
+        };
+        let tag = format!("pinned shards=4 batch={batch_size}");
+        assert_counts_match_sim(&cfg, &tag);
     }
 }
 
@@ -197,38 +155,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Randomly sampled corners of the configuration space — any batch
-    /// size in [1, 96] (not just the curated four), any backend, shard
-    /// count, bucket count, worker count and a sampled run budget —
-    /// stay count-identical to the simulator on the Zipfian keyed
-    /// world.
+    /// size in [1, 96] (not just the curated four), any shard count
+    /// and bucket count — stay count-identical to the simulator on the
+    /// Zipfian keyed world.
     #[test]
     fn sampled_configurations_are_count_identical(
         batch_size in 1usize..=96,
-        backend_pick in 0usize..3,
-        workers in 1usize..=3,
         shards in 1usize..=4,
         bucket_pick in 0usize..3,
-        budget_pick in 0usize..3,
     ) {
-        let backend =
-            [BackendKind::Threaded, BackendKind::Sharded, BackendKind::Async][backend_pick];
         let key_buckets = [1usize, 2, 8][bucket_pick];
-        let run_budget = [1usize, 7, 4096][budget_pick];
         let cfg = ExecConfig {
-            backend,
-            workers,
             shards,
             key_buckets,
             batch_size,
-            run_budget,
             ..ExecConfig::from_sim(&sim_cfg(), 16.0)
         };
         let sim = sim_reference();
         let res = run_exec(&cfg);
-        let tag = format!(
-            "{backend:?} workers={workers} shards={shards} buckets={key_buckets} \
-             batch={batch_size} budget={run_budget}"
-        );
+        let tag = format!("shards={shards} buckets={key_buckets} batch={batch_size}");
         prop_assert_eq!(res.dropped, 0, "{}: must stay drop-free", tag);
         prop_assert_eq!(res.emitted, sim.emitted, "{}: emitted diverged", tag);
         prop_assert_eq!(res.matched, sim.matched, "{}: matched diverged", tag);

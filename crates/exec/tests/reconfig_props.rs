@@ -6,17 +6,17 @@
 //! migrates every live `(window, pair, key_bucket)` group to a
 //! different shard worker — must leave `emitted`/`matched`/`delivered`
 //! exactly equal to a run that never reconfigured. The property is
-//! sampled across (backend × workers × shards × key-buckets ×
-//! batch-size) and across epoch positions (deliberately including
-//! mid-window — and therefore mid-batch — epochs,
-//! where pre/post tuples of the straddling window must still match
-//! each other through the handoff), on a keyed, pair-skewed workload.
+//! sampled across (shards × key-buckets × batch-size) and across epoch
+//! positions (deliberately including mid-window — and therefore
+//! mid-batch — epochs, where pre/post tuples of the straddling window
+//! must still match each other through the handoff), on a keyed,
+//! pair-skewed workload.
 
 use std::sync::OnceLock;
 
 use nova_core::baselines::{host_based, sink_based};
 use nova_core::{JoinQuery, StreamSpec};
-use nova_exec::{execute, launch, BackendKind, ExecConfig, ShardScale};
+use nova_exec::{execute, launch, ExecConfig, ShardScale};
 use nova_runtime::{simulate_reconfigured, Dataflow, PlanSwitch, SimConfig};
 use nova_topology::{NodeId, NodeRole, Topology};
 use proptest::prelude::*;
@@ -73,8 +73,8 @@ fn base_cfg() -> ExecConfig {
 }
 
 /// The never-reconfigured reference counts — computed once; count
-/// identity across backends/shards/buckets is already pinned by the
-/// exec_vs_sim suite, so one threaded run is the whole reference.
+/// identity across shards/buckets is already pinned by the
+/// exec_vs_sim suite, so one unsharded run is the whole reference.
 fn baseline() -> &'static (u64, u64, u64) {
     static BASELINE: OnceLock<(u64, u64, u64)> = OnceLock::new();
     BASELINE.get_or_init(|| {
@@ -88,28 +88,76 @@ fn baseline() -> &'static (u64, u64, u64) {
     })
 }
 
+/// S ≫ cores under reconfiguration: 32 shards per instance with
+/// `(window, pair)` routing, so each instance's seven windows reach at
+/// most seven of its 32 shards. Every other shard thread of the old
+/// generation sees nothing but barriers and must still quiesce (report
+/// an empty export) for the quorum to close; every other shard of the
+/// new generation sees nothing but Eofs and must still retire for the
+/// run to end. The full-migration switch of the property below, pinned
+/// against the drain-exact simulator replay of the same switch.
+#[test]
+fn zero_input_shards_quiesce_at_the_barrier_and_retire_at_eof() {
+    let (t, q) = world();
+    let pre = sink_based(&q, &q.resolve());
+    let mut post = host_based(&q, &q.resolve(), NodeId(1));
+    post.replicas.reverse();
+    let df = Dataflow::from_baseline(&q, &pre);
+    // Mid-window and co-prime with the batch size: the barrier splits
+    // both a live window and a partially filled frame.
+    let switch = PlanSwitch::between(650.0, &q, &pre, &post, 1.0);
+    let sim_cfg = SimConfig {
+        duration_ms: DURATION_MS,
+        window_ms: 200.0,
+        selectivity: 0.8,
+        key_space: 8,
+        max_queue_ms: f64::INFINITY,
+        ..SimConfig::default()
+    };
+    let sim = simulate_reconfigured(&t, flat_dist, &df, std::slice::from_ref(&switch), &sim_cfg);
+    assert_eq!(sim.dropped, 0, "replay must stay drop-free");
+
+    let cfg = ExecConfig {
+        shards: 32,
+        batch_size: 7,
+        ..ExecConfig::from_sim(&sim_cfg, 16.0)
+    };
+    let mut handle = launch(&t, flat_dist, &df, &cfg).expect("valid config");
+    let stats = handle.apply(&switch, flat_dist).expect("reconfigure");
+    assert!(stats.clean_split, "epoch must bisect the batch");
+    assert!(stats.migrated_tuples > 0, "live state must migrate");
+    assert_eq!(stats.shard_workers, 2 * 32);
+    let res = handle.join();
+    assert_eq!(
+        res.threads,
+        4 + 2 * 2 * 32 + 1,
+        "sources + two generations + sink"
+    );
+    assert_eq!(res.dropped, 0);
+    assert_eq!(res.emitted, sim.emitted);
+    assert_eq!(res.matched, sim.matched);
+    assert_eq!(res.delivered, sim.delivered);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Migrating every live group to a different shard — an instance
     /// permutation away from the sink host and onto a worker, with the
     /// two pairs' instance slots swapped — preserves all three counts
-    /// exactly, at sampled (backend × workers × shards × buckets ×
-    /// batch) combinations and epoch positions, under keyed pair skew.
+    /// exactly, at sampled (shards × buckets × batch) combinations
+    /// and epoch positions, under keyed pair skew.
     /// The sampled epoch almost never lands on a batch boundary, so the
     /// sources' epoch split routinely flushes a partially filled
     /// `TupleBatch` at the barrier — and `clean_split` asserts the
     /// protocol bisected it exactly at `t < epoch`.
     #[test]
     fn full_group_migration_preserves_counts_exactly(
-        backend_pick in 0usize..3,
-        workers in 1usize..=3,
         shards in 1usize..=4,
         bucket_pick in 0usize..3,
         batch_pick in 0usize..4,
         epoch_frac in 0.3f64..0.7,
     ) {
-        let backend = [BackendKind::Threaded, BackendKind::Sharded, BackendKind::Async][backend_pick];
         let key_buckets = [1usize, 2, 8][bucket_pick];
         let batch_size = [1usize, 2, 7, 64][batch_pick];
         let (t, q) = world();
@@ -121,8 +169,6 @@ proptest! {
         post.replicas.reverse();
         let df = Dataflow::from_baseline(&q, &pre);
         let cfg = ExecConfig {
-            backend,
-            workers,
             shards,
             key_buckets,
             batch_size,
@@ -140,7 +186,7 @@ proptest! {
         let res = handle.join();
         let (emitted, matched, delivered) = *baseline();
         let tag = format!(
-            "{backend:?} workers={workers} shards={shards} buckets={key_buckets} \
+            "shards={shards} buckets={key_buckets} \
              batch={batch_size} epoch={epoch_ms:.1}"
         );
         prop_assert!(stats.clean_split, "{}: epoch must bisect the batch", tag);
@@ -154,22 +200,19 @@ proptest! {
     /// admission** (`add_source`) followed by a **relocating scale-up**
     /// (`apply_scaled` with a [`ShardScale`] override) — stay
     /// count-identical to the simulator replaying the same recorded
-    /// switches, across sampled backends, shard layouts and epoch
+    /// switches, across sampled shard layouts and epoch
     /// positions. This is the property the autoscaler leans on: any
     /// sequence it synthesizes from telemetry is replayable, so its
     /// decisions change *where and how wide* work runs, never *what*
     /// is computed.
     #[test]
     fn recorded_controller_sequences_replay_exactly(
-        backend_pick in 0usize..3,
-        workers in 1usize..=2,
         shards in 1usize..=3,
         bucket_pick in 0usize..3,
         batch_pick in 0usize..4,
         admit_frac in 0.3f64..0.5,
         rescale_frac in 0.65f64..0.85,
     ) {
-        let backend = [BackendKind::Threaded, BackendKind::Sharded, BackendKind::Async][backend_pick];
         let key_buckets = [1usize, 2, 8][bucket_pick];
         let batch_size = [1usize, 2, 7, 64][batch_pick];
         let (mut t, q_pre) = world();
@@ -200,15 +243,13 @@ proptest! {
         prop_assert_eq!(sim.dropped, 0, "replay must stay drop-free");
 
         let cfg = ExecConfig {
-            backend,
-            workers,
             shards,
             key_buckets,
             batch_size,
             ..ExecConfig::from_sim(&sim_cfg, 16.0)
         };
         let tag = format!(
-            "{backend:?} workers={workers} shards={shards} buckets={key_buckets} \
+            "shards={shards} buckets={key_buckets} \
              batch={batch_size} admit={:.1} rescale={:.1}",
             admit.epoch_ms, rescale.epoch_ms
         );

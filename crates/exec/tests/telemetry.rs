@@ -6,7 +6,7 @@
 //! even while an epoch barrier quiesces and respawns the whole shard
 //! generation — and the final snapshot agrees exactly with the
 //! [`nova_exec::ExecResult`] the run returns. Both are asserted here
-//! on all three backends, polling [`nova_exec::ExecHandle::metrics`]
+//! at one and four shards, polling [`nova_exec::ExecHandle::metrics`]
 //! and draining an [`nova_exec::ExecHandle::subscribe`] stream across
 //! a live [`PlanSwitch`].
 
@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use nova_core::baselines::{host_based, sink_based};
 use nova_core::{JoinQuery, StreamSpec};
-use nova_exec::{launch, BackendKind, ExecConfig, MetricsSnapshot};
+use nova_exec::{launch, ExecConfig, MetricsSnapshot};
 use nova_runtime::{Dataflow, PlanSwitch};
 use nova_topology::{NodeId, NodeRole, Topology};
 
@@ -44,16 +44,14 @@ fn flat_dist(a: NodeId, b: NodeId) -> f64 {
     }
 }
 
-fn cfg_for(backend: BackendKind, shards: usize, workers: usize) -> ExecConfig {
+fn cfg_for(shards: usize) -> ExecConfig {
     ExecConfig {
         duration_ms: DURATION_MS,
         window_ms: 200.0,
         selectivity: 0.7,
         time_scale: 8.0,
         max_queue_ms: f64::INFINITY,
-        backend,
         shards,
-        workers,
         ..ExecConfig::default()
     }
 }
@@ -116,8 +114,8 @@ fn assert_monotonic(prev: &MetricsSnapshot, next: &MetricsSnapshot, tag: &str) {
     }
 }
 
-fn run_case(backend: BackendKind, shards: usize, workers: usize) {
-    run_case_batched(backend, shards, workers, ExecConfig::default().batch_size);
+fn run_case(shards: usize) {
+    run_case_batched(shards, ExecConfig::default().batch_size);
 }
 
 /// The telemetry contract is batch-size independent: sources account
@@ -126,14 +124,14 @@ fn run_case(backend: BackendKind, shards: usize, workers: usize) {
 /// final one exactly equal to the `ExecResult` — no matter how tuples
 /// are framed. `run_case` pins the default framing; the batched
 /// variants below pin small odd and large frames.
-fn run_case_batched(backend: BackendKind, shards: usize, workers: usize, batch_size: usize) {
+fn run_case_batched(shards: usize, batch_size: usize) {
     let (t, q) = world();
     let pre = sink_based(&q, &q.resolve());
     let post = host_based(&q, &q.resolve(), NodeId(3));
     let df = Dataflow::from_baseline(&q, &pre);
     let cfg = ExecConfig {
         batch_size,
-        ..cfg_for(backend, shards, workers)
+        ..cfg_for(shards)
     };
     let switch = PlanSwitch::between(EPOCH_MS, &q, &pre, &post, 1.0);
 
@@ -141,7 +139,7 @@ fn run_case_batched(backend: BackendKind, shards: usize, workers: usize, batch_s
     let rx = handle
         .subscribe(Duration::from_millis(20))
         .expect("non-zero interval");
-    let tag = format!("{backend:?} shards={shards} workers={workers} batch={batch_size}");
+    let tag = format!("shards={shards} batch={batch_size}");
 
     // Poll live before, during-ish and after the reconfiguration.
     let mut polled: Vec<MetricsSnapshot> = vec![handle.metrics()];
@@ -204,27 +202,21 @@ fn run_case_batched(backend: BackendKind, shards: usize, workers: usize, batch_s
 
 #[test]
 fn threaded_snapshots_stay_consistent_across_reconfig() {
-    run_case(BackendKind::Threaded, 1, 0);
+    run_case(1);
 }
 
 #[test]
 fn sharded_snapshots_stay_consistent_across_reconfig() {
-    run_case(BackendKind::Sharded, 4, 0);
-}
-
-#[test]
-fn async_snapshots_stay_consistent_across_reconfig() {
-    run_case(BackendKind::Async, 4, 2);
+    run_case(4);
 }
 
 /// Batch framing never double- or under-counts: a small odd batch (7,
 /// co-prime with the emission grid, so the epoch splits a partially
 /// filled frame) keeps every snapshot monotonic and the final one
-/// equal to the `ExecResult`, on the backends with real concurrency.
+/// equal to the `ExecResult`, at the shard count with real concurrency.
 #[test]
 fn snapshots_stay_consistent_at_small_odd_batches() {
-    run_case_batched(BackendKind::Sharded, 4, 0, 7);
-    run_case_batched(BackendKind::Async, 4, 2, 7);
+    run_case_batched(4, 7);
 }
 
 /// Large frames (64 tuples — several windows per batch at this rate)
@@ -232,8 +224,7 @@ fn snapshots_stay_consistent_at_small_odd_batches() {
 /// snapshot ≡ `ExecResult` identity must survive the burstiness.
 #[test]
 fn snapshots_stay_consistent_at_large_batches() {
-    run_case_batched(BackendKind::Threaded, 1, 0, 64);
-    run_case_batched(BackendKind::Async, 4, 2, 64);
+    run_case_batched(1, 64);
 }
 
 /// Regression: `subscribe(Duration::ZERO)` used to spawn a sampler
@@ -244,7 +235,7 @@ fn zero_interval_subscription_is_rejected_not_hot_spinning() {
     let (t, q) = world();
     let pre = sink_based(&q, &q.resolve());
     let df = Dataflow::from_baseline(&q, &pre);
-    let cfg = cfg_for(BackendKind::Threaded, 1, 0);
+    let cfg = cfg_for(1);
     let handle = launch(&t, flat_dist, &df, &cfg).expect("valid config");
     let err = handle.subscribe(Duration::ZERO).expect_err("zero interval");
     assert_eq!(err, nova_exec::SubscribeError::ZeroInterval);
@@ -261,7 +252,7 @@ fn disabled_telemetry_degrades_but_stays_usable() {
     let df = Dataflow::from_baseline(&q, &pre);
     let cfg = ExecConfig {
         telemetry: false,
-        ..cfg_for(BackendKind::Threaded, 1, 0)
+        ..cfg_for(1)
     };
     let handle = launch(&t, flat_dist, &df, &cfg).expect("valid config");
     // Degraded snapshots carry the coarse counters but no per-shard

@@ -96,10 +96,7 @@ impl RuleConfig {
                 ("crates/exec/src/channel.rs".into(), Region::WholeFile),
                 ("crates/exec/src/metrics.rs".into(), Region::WholeFile),
             ],
-            unsafe_allowlist: vec![
-                "crates/exec/src/affinity.rs".into(),
-                "crates/exec/src/sharded.rs".into(),
-            ],
+            unsafe_allowlist: vec!["crates/exec/src/affinity.rs".into()],
             protocol_enums: vec!["JoinMsg".into(), "SinkMsg".into(), "SourceCtrl".into()],
         }
     }

@@ -26,6 +26,23 @@ fn workspace_has_no_findings_beyond_the_baseline() {
     );
 }
 
+/// The allowlist is a review event, so it must not outlive the code it
+/// was granted for: every file it names exists and still contains
+/// `unsafe` (`sharded.rs` once sat here long after its last block went).
+#[test]
+fn the_unsafe_allowlist_names_only_files_that_contain_unsafe() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for file in &RuleConfig::nova().unsafe_allowlist {
+        let src = std::fs::read_to_string(root.join(file))
+            .unwrap_or_else(|e| panic!("allowlisted {file} is unreadable: {e}"));
+        assert!(
+            src.contains("unsafe {") || src.contains("unsafe fn"),
+            "{file} is allowlisted for unsafe but contains none — drop it from \
+             RuleConfig::nova()"
+        );
+    }
+}
+
 #[test]
 fn the_walker_sees_the_whole_workspace() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -2,21 +2,19 @@
 //!
 //! Builds a small edge topology (two regions × two sensor streams, four
 //! workers, one sink), places the join with the sink-based baseline,
-//! and executes the deployed dataflow four times: on the discrete-event
-//! simulator, on the `nova-exec` threaded executor (one OS thread per
-//! source task, join instance and sink — 7 threads here), on the
-//! sharded backend with 4 join shards per instance (`cfg.shards = 4`,
-//! 13 threads), and on the async event loop (the same 4-shard layout as
-//! 8 cooperative tasks multiplexed onto 2 worker threads — 7 threads
-//! total). Prints delivered throughput and p50/p99 latency from all
-//! engines side by side, plus the executors' hardware throughput —
-//! note every backend matches the threaded run count for count.
+//! and executes the deployed dataflow three times: on the
+//! discrete-event simulator, on the `nova-exec` executor unsharded (one
+//! OS thread per source task, join instance and sink — 7 threads here),
+//! and with 4 join shards per instance (`cfg.shards = 4`, 13 threads).
+//! Prints delivered throughput and p50/p99 latency from all engines
+//! side by side, plus the executor's hardware throughput — note the
+//! sharded run matches the unsharded one count for count.
 //!
 //! Run with: `cargo run --release --example real_execution`
 
 use nova::core::baselines::sink_based;
 use nova::runtime::{simulate, Dataflow, SimConfig};
-use nova::{execute, BackendKind, ExecConfig, JoinQuery, NodeId, NodeRole, StreamSpec, Topology};
+use nova::{execute, ExecConfig, JoinQuery, NodeId, NodeRole, StreamSpec, Topology};
 
 fn main() {
     // Topology: sink(0), 2×2 sources, four workers.
@@ -58,20 +56,11 @@ fn main() {
         ..exec_cfg
     };
     let sharded = execute(&t, dist, &dataflow, &sharded_cfg).expect("valid exec config");
-    // And once more on the M:N event loop: the same 4-shard layout, but
-    // as cooperative tasks on 2 worker threads instead of 8 OS threads.
-    let async_cfg = ExecConfig {
-        backend: BackendKind::Async,
-        workers: 2,
-        ..sharded_cfg
-    };
-    let evloop = execute(&t, dist, &dataflow, &async_cfg).expect("valid exec config");
 
     println!(
-        "sink-based placement: {} threads threaded (4 sources + 2 joins + sink), \
-         {} threads sharded (4 shards per join), {} threads async \
-         (8 shard tasks on 2 workers)\n",
-        exec.threads, sharded.threads, evloop.threads
+        "sink-based placement: {} threads unsharded (4 sources + 2 joins + sink), \
+         {} threads sharded (4 shards per join)\n",
+        exec.threads, sharded.threads
     );
     println!(
         "{:<12} {:>12} {:>12} {:>10} {:>10} {:>10}",
@@ -86,11 +75,7 @@ fn main() {
         sim.latency_percentile(0.99),
         sim.dropped,
     );
-    for (name, r) in [
-        ("exec", &exec),
-        ("exec-4shard", &sharded),
-        ("exec-async", &evloop),
-    ] {
+    for (name, r) in [("exec", &exec), ("exec-4shard", &sharded)] {
         println!(
             "{:<12} {:>12} {:>12.1} {:>10.2} {:>10.2} {:>10}",
             name,
@@ -107,20 +92,15 @@ fn main() {
         exec.wall_ms,
         exec.input_tuples_per_wall_s(),
     );
-    // Count identity between backends is guaranteed only on drop-free
+    // Count identity across shard counts is guaranteed only on drop-free
     // runs; on a heavily loaded host a stalled thread can trip the
     // bounded queue and shed a tuple, so gate the exact asserts.
-    if exec.dropped == 0 && sharded.dropped == 0 && evloop.dropped == 0 {
+    if exec.dropped == 0 && sharded.dropped == 0 {
         assert_eq!(
             sharded.matched, exec.matched,
             "sharding must not change what matches"
         );
         assert_eq!(sharded.delivered, exec.delivered);
-        assert_eq!(
-            evloop.matched, exec.matched,
-            "cooperative scheduling must not change what matches"
-        );
-        assert_eq!(evloop.delivered, exec.delivered);
     } else {
         println!("note: shedding occurred; exact count identity not checked");
     }

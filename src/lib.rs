@@ -35,8 +35,7 @@ pub use nova_workloads as workloads;
 // The most common entry points, re-exported flat for convenience.
 pub use nova_core::{evaluate, EvalOptions, JoinQuery, Nova, NovaConfig, Placement, StreamSpec};
 pub use nova_exec::{
-    backend_for, execute, launch, AsyncBackend, Backend, BackendKind, EpochStats, ExecConfig,
-    ExecHandle, ExecResult, ReconfigError, ShardedBackend, ThreadedBackend,
+    execute, launch, EpochStats, ExecConfig, ExecHandle, ExecResult, ReconfigError,
 };
 pub use nova_runtime::{simulate_reconfigured, PlanSwitch};
 pub use nova_topology::{running_example, NodeId, NodeRole, Topology};

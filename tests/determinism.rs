@@ -146,49 +146,6 @@ fn executor_is_count_identical_across_runs() {
 }
 
 #[test]
-fn async_executor_is_count_identical_across_runs() {
-    // The event loop adds two sources of schedule variance on top of
-    // the sharded backend — which worker polls a task, and where its
-    // run budget pauses it — neither of which may leak into counts:
-    // routing, windows, sub-keys and match decisions stay pure
-    // functions of the seed, and a paused task resumes exactly where
-    // its cursor stopped.
-    let (t, df, _) = partitioned_world();
-    let cfg = nova::ExecConfig {
-        duration_ms: 3000.0,
-        window_ms: 200.0,
-        selectivity: 0.7,
-        time_scale: 8.0,
-        backend: nova::BackendKind::Async,
-        shards: 8,
-        workers: 2,
-        key_space: 8,
-        key_buckets: 8,
-        run_budget: 128,
-        // Drop-free by construction — see above.
-        max_queue_ms: f64::INFINITY,
-        ..nova::ExecConfig::default()
-    };
-    let a = execute(&t, flat_dist, &df, &cfg).expect("valid exec config");
-    let b = execute(&t, flat_dist, &df, &cfg).expect("valid exec config");
-    assert!(a.delivered > 0, "async run must deliver: {a:?}");
-    assert_eq!(a.dropped, 0, "scenario must stay uncongested: {a:?}");
-    assert_eq!(b.dropped, 0);
-    assert_eq!(a.emitted, b.emitted, "emission schedule is seeded");
-    assert_eq!(a.matched, b.matched, "match decisions are seeded");
-    assert_eq!(a.delivered, b.delivered, "delivery counts are seeded");
-    // Per-pair delivery histograms agree too, not just the totals.
-    let histogram = |r: &nova::ExecResult| {
-        let mut counts = std::collections::BTreeMap::new();
-        for o in &r.outputs {
-            *counts.entry(o.pair).or_insert(0u64) += 1;
-        }
-        counts
-    };
-    assert_eq!(histogram(&a), histogram(&b));
-}
-
-#[test]
 fn keyed_sharded_executor_is_count_identical_across_runs() {
     // The keyed path adds two pure functions to the hot path — the
     // per-tuple sub-key and its routing bucket — so a keyed sharded run

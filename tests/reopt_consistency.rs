@@ -10,7 +10,7 @@
 //! placed. The exec-side tests then pin the §3.5 sim/exec contract: a
 //! mid-run `PlanSwitch` through `ExecHandle::apply` yields
 //! `emitted`/`matched`/`delivered` identical to
-//! `simulate_reconfigured`, on all three backends.
+//! `simulate_reconfigured`, unsharded and sharded.
 
 use nova::core::baselines::host_based;
 use nova::core::{Nova, NovaConfig, ReoptStep, Side};
@@ -18,9 +18,7 @@ use nova::netcoord::{Vivaldi, VivaldiConfig};
 use nova::runtime::{simulate_reconfigured, Dataflow, SimConfig};
 use nova::topology::{LatencyProvider, NodeId, SyntheticParams, SyntheticTopology};
 use nova::workloads::{synthetic_opp, OppParams};
-use nova::{
-    launch, BackendKind, ExecConfig, JoinQuery, NodeRole, PlanSwitch, StreamSpec, Topology,
-};
+use nova::{launch, ExecConfig, JoinQuery, NodeRole, PlanSwitch, StreamSpec, Topology};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -161,7 +159,7 @@ fn flat_dist(a: NodeId, b: NodeId) -> f64 {
 /// The §3.5 acceptance bar (exec side): a mid-run `PlanSwitch` —
 /// a *rate shift plus node removal*, the churn scenario's event pair —
 /// applied through `ExecHandle::apply` yields counts identical to the
-/// simulator replaying the same pre/post plans, on all three backends,
+/// simulator replaying the same pre/post plans, unsharded and sharded,
 /// with the epoch deliberately mid-window so live state crosses the
 /// handoff. Keyed + skewed so the bucket routing path is exercised.
 #[test]
@@ -199,17 +197,11 @@ fn mid_run_reconfiguration_matches_simulator_replay_on_all_backends() {
     // 7 (co-prime with the emission grid, so the epoch lands mid-batch
     // and the barrier must bisect a partially filled frame) and 64
     // (whole windows per frame).
-    for (backend, shards, workers, key_buckets, batch_size) in [
-        (BackendKind::Threaded, 1usize, 0usize, 1usize, 7usize),
-        (BackendKind::Sharded, 4, 0, 4, 1),
-        (BackendKind::Sharded, 4, 0, 4, 7),
-        (BackendKind::Async, 4, 2, 4, 7),
-        (BackendKind::Async, 4, 2, 4, 64),
-    ] {
+    for (shards, key_buckets, batch_size) in
+        [(1usize, 1usize, 7usize), (4, 4, 1), (4, 4, 7), (4, 4, 64)]
+    {
         let cfg = ExecConfig {
-            backend,
             shards,
-            workers,
             key_buckets,
             batch_size,
             ..ExecConfig::from_sim(&sim_cfg, 8.0)
@@ -218,10 +210,10 @@ fn mid_run_reconfiguration_matches_simulator_replay_on_all_backends() {
         let stats = handle.apply(&switch, flat_dist).expect("reconfigure");
         assert!(
             stats.migrated_tuples > 0,
-            "{backend:?}: live window state must cross the epoch"
+            "shards={shards}: live window state must cross the epoch"
         );
         let res = handle.join();
-        let tag = format!("{backend:?}(shards={shards}, workers={workers}, batch={batch_size})");
+        let tag = format!("shards={shards}, batch={batch_size}");
         assert!(stats.clean_split, "{tag}: epoch must bisect the batch");
         assert_eq!(res.dropped, 0, "{tag}: must stay drop-free");
         assert_eq!(res.emitted, sim.emitted, "{tag}: emitted diverged");
@@ -234,7 +226,7 @@ fn mid_run_reconfiguration_matches_simulator_replay_on_all_backends() {
 /// sequence — a mid-run **source admission** (`ExecHandle::add_source`)
 /// followed by a **shard scale-up** (`ExecHandle::apply_scaled`) — is
 /// count-identical to the simulator replaying the same recorded
-/// switches on all three backends. The appended stream keys against
+/// switches, unsharded and sharded. The appended stream keys against
 /// `cold_l`, which appends a *new pair* (row-major pair ids keep the
 /// existing ones stable) and a new join instance; the scale override
 /// does not exist in the simulator at all, pinning that shard layout
@@ -278,20 +270,14 @@ fn recorded_admission_and_scale_sequence_matches_simulator_replay() {
     // The admission epoch (1050) is co-prime with batch 7's frame
     // boundaries, so the late stream's admission — and the rescale at
     // 1700 — both land mid-batch; batch 64 crosses whole windows.
-    for (backend, shards, workers, key_buckets, batch_size) in [
-        (BackendKind::Threaded, 1usize, 0usize, 1usize, 7usize),
-        (BackendKind::Sharded, 4, 0, 4, 64),
-        (BackendKind::Async, 4, 2, 4, 7),
-    ] {
+    for (shards, key_buckets, batch_size) in [(1usize, 1usize, 7usize), (4, 4, 64), (4, 4, 7)] {
         let cfg = ExecConfig {
-            backend,
             shards,
-            workers,
             key_buckets,
             batch_size,
             ..ExecConfig::from_sim(&sim_cfg, 8.0)
         };
-        let tag = format!("{backend:?}(shards={shards}, workers={workers}, batch={batch_size})");
+        let tag = format!("shards={shards}, batch={batch_size}");
         let mut handle = launch(&t, flat_dist, &df, &cfg).expect("valid exec config");
         let stats = handle.apply(&admit, flat_dist);
         assert!(
@@ -420,19 +406,9 @@ fn nova_reopt_steps_drive_live_executor_reconfiguration() {
     assert_eq!(sim.dropped, 0);
     assert!(sim.delivered > 0);
 
-    for backend in [
-        BackendKind::Threaded,
-        BackendKind::Sharded,
-        BackendKind::Async,
-    ] {
+    for shards in [1usize, 2] {
         let cfg = ExecConfig {
-            backend,
-            shards: if backend == BackendKind::Threaded {
-                1
-            } else {
-                2
-            },
-            workers: 2,
+            shards,
             ..ExecConfig::from_sim(&sim_cfg, 8.0)
         };
         let mut handle = launch(&t, |a, b| rtt.rtt(a, b), &df, &cfg).expect("valid exec config");
@@ -440,7 +416,7 @@ fn nova_reopt_steps_drive_live_executor_reconfiguration() {
             .apply(&switch, |a, b| rtt.rtt(a, b))
             .expect("reconfigure");
         let res = handle.join();
-        let tag = format!("{backend:?}");
+        let tag = format!("shards={shards}");
         assert_eq!(res.dropped, 0, "{tag}");
         assert_eq!(res.emitted, sim.emitted, "{tag}: emitted diverged");
         assert_eq!(res.matched, sim.matched, "{tag}: matched diverged");
