@@ -5,7 +5,10 @@
 //! source tasks with per-partition routing tables, join instances with
 //! their buffers' home nodes, and the sink. This mirrors what the paper
 //! does when it hands Nova's placements to NebulaStream's deployment
-//! layer (§4.7) — here the "engine" is the discrete-event simulator.
+//! layer (§4.7) — here the "engine" is the discrete-event simulator's
+//! one event loop (and, unchanged, `nova-exec`'s threads). A
+//! [`PlanSwitch`] is the unit of live change both replay: the loop runs
+//! one drained phase per plan.
 
 use std::collections::HashMap;
 use std::sync::Arc;

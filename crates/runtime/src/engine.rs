@@ -7,10 +7,15 @@
 //! end-to-end figures show), links add latency per hop, and operators
 //! pay one service slot per tuple they ingest, forward or process.
 //!
-//! The engine executes a [`Dataflow`] for a fixed wall-clock duration and
-//! records every join result delivered to the sink with its end-to-end
-//! latency — the raw series behind Fig. 11 (throughput) and Fig. 12
-//! (latency percentiles).
+//! The engine executes a [`Dataflow`] for a fixed duration of simulated
+//! time and records every join result delivered to the sink with its
+//! end-to-end latency — the raw series behind Fig. 11 (throughput) and
+//! Fig. 12 (latency percentiles).
+//!
+//! There is one event loop. [`simulate`] and [`simulate_reconfigured`]
+//! are that loop under its two horizon rules: the first cuts the run at
+//! `duration_ms`, the second lets in-flight work drain (and replays
+//! live [`PlanSwitch`]es between drained phases).
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -20,7 +25,7 @@ use nova_topology::{NodeId, Topology};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-use crate::dataflow::Dataflow;
+use crate::dataflow::{Dataflow, PlanSwitch};
 use crate::tuple::{OutputTuple, Tuple};
 use crate::window::{BufferedTuple, WindowBuffers};
 
@@ -104,8 +109,13 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Delivered outputs per second of simulated time.
+    /// Delivered outputs per second of simulated time. Zero-or-negative
+    /// durations yield 0.0 rather than `inf`/`NaN`, as on the
+    /// executor's `ExecResult`.
     pub fn throughput_per_s(&self, duration_ms: f64) -> f64 {
+        if duration_ms <= 0.0 {
+            return 0.0;
+        }
         self.delivered as f64 / (duration_ms / 1000.0)
     }
 
@@ -125,30 +135,37 @@ impl SimResult {
     }
 
     /// Utilization of a node over the run: busy time / duration.
+    /// Zero-or-negative durations yield 0.0 rather than `inf`/`NaN`.
     pub fn utilization(&self, node: NodeId, duration_ms: f64) -> f64 {
+        if duration_ms <= 0.0 {
+            return 0.0;
+        }
         self.node_busy_ms.get(node.idx()).copied().unwrap_or(0.0) / duration_ms
     }
+}
+
+/// What travels a route hop by hop: an input tuple on its way to a join
+/// instance, or a join result on its way to the sink.
+#[derive(Debug, Clone, Copy)]
+enum Cargo {
+    Input { instance: u32, tuple: Tuple },
+    Output(OutputTuple),
 }
 
 #[derive(Debug, Clone)]
 enum EventKind {
     /// A source produces its next tuple.
     Emit { source: u32 },
-    /// An input tuple arrives at `path[hop]` (service then continue).
-    InputArrive {
+    /// `cargo` arrives at `path[hop]`: one service slot there, then on to
+    /// the next hop — or, at the end of the path, into the join
+    /// (inputs) or the result set (outputs).
+    Arrive {
         path: Arc<Vec<NodeId>>,
         hop: u32,
-        instance: u32,
-        tuple: Tuple,
+        cargo: Cargo,
     },
     /// Service at the instance node completed: run the join logic.
     InputReady { instance: u32, tuple: Tuple },
-    /// A join output arrives at `path[hop]`.
-    OutputArrive {
-        path: Arc<Vec<NodeId>>,
-        hop: u32,
-        out: OutputTuple,
-    },
     /// Periodic window-state garbage collection.
     Gc,
 }
@@ -183,303 +200,124 @@ impl Ord for Event {
     }
 }
 
-/// Run the dataflow on the simulated cluster.
+/// The pending events, earliest first; equal times pop in push order.
+#[derive(Default)]
+struct Agenda {
+    heap: BinaryHeap<Event>,
+    seq: u64,
+}
+
+impl Agenda {
+    fn push(&mut self, time: f64, kind: EventKind) {
+        self.seq += 1;
+        self.heap.push(Event {
+            time,
+            seq: self.seq,
+            kind,
+        });
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        self.heap.pop()
+    }
+}
+
+/// The cluster's nodes as single-server FIFO queues.
+struct Servers {
+    /// Service time in ms/tuple; 0 ⇒ pure relay (capacity ≤ 0).
+    service_ms: Vec<f64>,
+    busy_until: Vec<f64>,
+    busy_ms: Vec<f64>,
+    max_queue_ms: f64,
+}
+
+impl Servers {
+    fn new(topology: &Topology, max_queue_ms: f64) -> Servers {
+        let n = topology.len();
+        let mut servers = Servers {
+            service_ms: vec![0.0; n],
+            busy_until: vec![0.0; n],
+            busy_ms: vec![0.0; n],
+            max_queue_ms,
+        };
+        for nd in topology.nodes() {
+            servers.set_capacity(nd.id, nd.capacity);
+        }
+        servers
+    }
+
+    /// Backlogs carry over at the service charge they were queued at.
+    fn set_capacity(&mut self, node: NodeId, tuples_per_s: f64) {
+        self.service_ms[node.idx()] = if tuples_per_s > 0.0 {
+            1000.0 / tuples_per_s
+        } else {
+            0.0
+        };
+    }
+
+    /// Queue one tuple at `node` at time `now`; its completion time, or
+    /// `None` when the bounded queue sheds it.
+    fn serve(&mut self, node: NodeId, now: f64) -> Option<f64> {
+        let i = node.idx();
+        let s = self.service_ms[i];
+        if s == 0.0 {
+            return Some(now);
+        }
+        if self.busy_until[i] - now > self.max_queue_ms {
+            return None;
+        }
+        let done = self.busy_until[i].max(now) + s;
+        self.busy_until[i] = done;
+        self.busy_ms[i] += s;
+        Some(done)
+    }
+}
+
+/// What a run does with work past `duration_ms` — the one difference
+/// between [`simulate`] and [`simulate_reconfigured`]. Sources stop
+/// emitting at `duration_ms` under both.
+#[derive(Clone, Copy)]
+enum Horizon {
+    /// The run ends at `duration_ms`: the loop stops at the first event
+    /// past it, and a result whose last hop completes after it is not
+    /// delivered.
+    Cut,
+    /// In-flight work runs to completion, however long it takes.
+    Drain,
+}
+
+impl Horizon {
+    /// Whether something happening at `t_ms` is still part of the run.
+    fn keeps(self, t_ms: f64, duration_ms: f64) -> bool {
+        match self {
+            Horizon::Cut => t_ms <= duration_ms,
+            Horizon::Drain => true,
+        }
+    }
+}
+
+/// Run the dataflow on the simulated cluster for `cfg.duration_ms` and
+/// report what the sink has seen by then.
 ///
 /// `dist(a, b)` is the one-hop network latency oracle in ms.
+///
+/// The horizon is a **cut**: sources emit at `t <= duration_ms`, the
+/// event loop stops at the first event past `duration_ms`, and a join
+/// result counts as delivered only if its last hop completes by
+/// `duration_ms`. Tuples still queued or in flight at that instant are
+/// lost to `matched`/`delivered` — what a wall-clock-limited testbed
+/// run reports (Figs. 11–12). [`simulate_reconfigured`] with no
+/// switches is the same event loop with the other horizon, so on a
+/// drop-free run this result is an exact prefix of that one: equal
+/// `emitted`, and `outputs` equal to its outputs with
+/// `arrival_ms <= duration_ms`.
 pub fn simulate(
     topology: &Topology,
-    mut dist: impl FnMut(NodeId, NodeId) -> f64,
+    dist: impl FnMut(NodeId, NodeId) -> f64,
     dataflow: &Dataflow,
     cfg: &SimConfig,
 ) -> SimResult {
-    let n = topology.len();
-    let mut busy_until = vec![0.0f64; n];
-    let mut busy_ms = vec![0.0f64; n];
-    // Per-node service time in ms/tuple; capacity ≤ 0 ⇒ pure relay.
-    let service_ms: Vec<f64> = topology
-        .nodes()
-        .iter()
-        .map(|nd| {
-            if nd.capacity > 0.0 {
-                1000.0 / nd.capacity
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let max_queue_ms = cfg.max_queue_ms;
-    let serve =
-        move |node: NodeId, now: f64, busy_until: &mut [f64], busy_ms: &mut [f64]| -> Option<f64> {
-            let s = service_ms[node.idx()];
-            if s == 0.0 {
-                return Some(now);
-            }
-            // Bounded queue: shed load once the backlog exceeds the cap.
-            if busy_until[node.idx()] - now > max_queue_ms {
-                return None;
-            }
-            let start = busy_until[node.idx()].max(now);
-            let done = start + s;
-            busy_until[node.idx()] = done;
-            busy_ms[node.idx()] += s;
-            Some(done)
-        };
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Event>, seq: &mut u64, time: f64, kind: EventKind| {
-        *seq += 1;
-        heap.push(Event {
-            time,
-            seq: *seq,
-            kind,
-        });
-    };
-
-    // Stagger the sources' first emissions to avoid phase artifacts.
-    for (i, s) in dataflow.sources.iter().enumerate() {
-        let interval = 1000.0 / s.rate;
-        push(
-            &mut heap,
-            &mut seq,
-            interval * (i as f64 / dataflow.sources.len() as f64),
-            EventKind::Emit { source: i as u32 },
-        );
-    }
-    push(&mut heap, &mut seq, cfg.gc_interval_ms, EventKind::Gc);
-
-    let mut buffers: Vec<WindowBuffers> = (0..dataflow.instances.len())
-        .map(|_| WindowBuffers::new())
-        .collect();
-    let mut per_stream_seq: Vec<u64> = vec![0; dataflow.sources.len()];
-
-    let mut outputs = Vec::new();
-    let mut emitted = 0u64;
-    let mut matched = 0u64;
-    let mut dropped = 0u64;
-    let mut processed_events = 0u64;
-    let mut truncated = false;
-
-    while let Some(ev) = heap.pop() {
-        if ev.time > cfg.duration_ms {
-            break;
-        }
-        processed_events += 1;
-        if processed_events > cfg.max_events {
-            truncated = true;
-            break;
-        }
-        let now = ev.time;
-        match ev.kind {
-            EventKind::Emit { source } => {
-                let s = &dataflow.sources[source as usize];
-                emitted += 1;
-                per_stream_seq[source as usize] += 1;
-                let tuple_seq = per_stream_seq[source as usize];
-                // Ingestion costs one service slot on the source node; a
-                // saturated source sheds the sample.
-                let Some(ingest_done) = serve(s.node, now, &mut busy_until, &mut busy_ms) else {
-                    dropped += 1;
-                    let next = now + 1000.0 / s.rate;
-                    if next <= cfg.duration_ms {
-                        push(&mut heap, &mut seq, next, EventKind::Emit { source });
-                    }
-                    continue;
-                };
-                let subkey = subkey_of(cfg.seed, source, tuple_seq, cfg.key_space);
-                for feed in &s.feeds {
-                    // Weighted partition assignment.
-                    let partition = pick_partition(&feed.partition_rates, &mut rng);
-                    let tuple = Tuple {
-                        pair: feed.pair,
-                        side: s.side,
-                        partition: partition as u32,
-                        key: s.key,
-                        subkey,
-                        seq: tuple_seq,
-                        event_time: now,
-                    };
-                    for route in &feed.routes[partition] {
-                        if route.path.len() >= 2 {
-                            let t_arr = ingest_done + dist(route.path[0], route.path[1]);
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t_arr,
-                                EventKind::InputArrive {
-                                    path: Arc::clone(&route.path),
-                                    hop: 1,
-                                    instance: route.instance,
-                                    tuple,
-                                },
-                            );
-                        } else {
-                            // Join co-located with the source: the join
-                            // work still needs its own service slot.
-                            match serve(s.node, ingest_done, &mut busy_until, &mut busy_ms) {
-                                Some(done) => push(
-                                    &mut heap,
-                                    &mut seq,
-                                    done,
-                                    EventKind::InputReady {
-                                        instance: route.instance,
-                                        tuple,
-                                    },
-                                ),
-                                None => dropped += 1,
-                            }
-                        }
-                    }
-                }
-                let next = now + 1000.0 / s.rate;
-                if next <= cfg.duration_ms {
-                    push(&mut heap, &mut seq, next, EventKind::Emit { source });
-                }
-            }
-            EventKind::InputArrive {
-                path,
-                hop,
-                instance,
-                tuple,
-            } => {
-                let node = path[hop as usize];
-                let Some(done) = serve(node, now, &mut busy_until, &mut busy_ms) else {
-                    dropped += 1;
-                    continue;
-                };
-                if hop as usize == path.len() - 1 {
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        done,
-                        EventKind::InputReady { instance, tuple },
-                    );
-                } else {
-                    let next = path[hop as usize + 1];
-                    let t_arr = done + dist(node, next);
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        t_arr,
-                        EventKind::InputArrive {
-                            path,
-                            hop: hop + 1,
-                            instance,
-                            tuple,
-                        },
-                    );
-                }
-            }
-            EventKind::InputReady { instance, tuple } => {
-                let inst = &dataflow.instances[instance as usize];
-                let window = WindowBuffers::window_of(tuple.event_time, cfg.window_ms);
-                // Zero-copy keyed probe: partners are visited in place,
-                // in insertion order, restricted to the tuple's
-                // `(window, subkey)` group — for unkeyed workloads
-                // (key_space 1, subkey 0) this is the classic flat
-                // per-window probe.
-                buffers[instance as usize].insert_and_probe_with(
-                    window,
-                    tuple.subkey,
-                    tuple.side,
-                    BufferedTuple {
-                        seq: tuple.seq,
-                        event_time: tuple.event_time,
-                    },
-                    |partner| {
-                        if !match_survives(
-                            tuple.seq,
-                            partner.seq,
-                            tuple.side,
-                            cfg.selectivity,
-                            cfg.seed,
-                        ) {
-                            return;
-                        }
-                        matched += 1;
-                        let out = OutputTuple {
-                            pair: inst.pair,
-                            key: tuple.key,
-                            event_time: tuple.event_time.max(partner.event_time),
-                        };
-                        if inst.out_path.len() <= 1 {
-                            // Join runs on the sink itself.
-                            outputs.push(OutputRecord {
-                                arrival_ms: now,
-                                latency_ms: now - out.event_time,
-                                pair: out.pair,
-                            });
-                        } else {
-                            let t_arr = now + dist(inst.out_path[0], inst.out_path[1]);
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t_arr,
-                                EventKind::OutputArrive {
-                                    path: Arc::clone(&inst.out_path),
-                                    hop: 1,
-                                    out,
-                                },
-                            );
-                        }
-                    },
-                );
-            }
-            EventKind::OutputArrive { path, hop, out } => {
-                let node = path[hop as usize];
-                let Some(done) = serve(node, now, &mut busy_until, &mut busy_ms) else {
-                    dropped += 1;
-                    continue;
-                };
-                if hop as usize == path.len() - 1 {
-                    if done <= cfg.duration_ms {
-                        outputs.push(OutputRecord {
-                            arrival_ms: done,
-                            latency_ms: done - out.event_time,
-                            pair: out.pair,
-                        });
-                    }
-                } else {
-                    let next = path[hop as usize + 1];
-                    let t_arr = done + dist(node, next);
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        t_arr,
-                        EventKind::OutputArrive {
-                            path,
-                            hop: hop + 1,
-                            out,
-                        },
-                    );
-                }
-            }
-            EventKind::Gc => {
-                // Watermark = now minus one window of allowed lateness.
-                let watermark = now - cfg.window_ms;
-                for b in &mut buffers {
-                    b.gc(watermark, cfg.window_ms);
-                }
-                let next = now + cfg.gc_interval_ms;
-                if next <= cfg.duration_ms {
-                    push(&mut heap, &mut seq, next, EventKind::Gc);
-                }
-            }
-        }
-    }
-
-    outputs.sort_unstable_by(|a, b| a.arrival_ms.total_cmp(&b.arrival_ms));
-    let delivered = outputs.len() as u64;
-    SimResult {
-        outputs,
-        emitted,
-        matched,
-        delivered,
-        node_busy_ms: busy_ms,
-        dropped,
-        truncated,
-    }
+    run(topology, dist, dataflow, &[], cfg, Horizon::Cut)
 }
 
 /// First post-epoch emission time of a source — the emission-grid
@@ -521,7 +359,7 @@ pub fn resume_time(
 /// * the executor's `ExecHandle::add_source`, which parks the admitted
 ///   source until the epoch and starts it here;
 /// * [`simulate_reconfigured`]'s replay of a mid-run source admission
-///   (a [`PlanSwitch`](crate::dataflow::PlanSwitch) whose post plan
+///   (a [`PlanSwitch`] whose post plan
 ///   *appends* sources).
 ///
 /// `n_sources` is the **post-epoch** source count — admission changes
@@ -531,12 +369,23 @@ pub fn admission_time(epoch_ms: f64, interval_ms: f64, source: usize, n_sources:
     epoch_ms + interval_ms * (source as f64 / n_sources.max(1) as f64)
 }
 
-/// Replay a dataflow through a sequence of live
-/// [`PlanSwitch`](crate::dataflow::PlanSwitch)es — the
-/// simulator half of the reconfiguration count-identity contract.
+/// Replay a dataflow through a sequence of live [`PlanSwitch`]es — the
+/// simulator half of the reconfiguration count-identity contract, and
+/// (with `switches` empty) the reference every executor count is held
+/// to.
 ///
-/// Differences from [`simulate`], all chosen to mirror the executor's
-/// epoch-barrier semantics exactly:
+/// Same event loop as [`simulate`]; the horizon is a **drain**: sources
+/// still stop emitting at `duration_ms`, but every tuple emitted by
+/// then is served, probed and — if it matches — delivered, however
+/// late. That is the executor's semantics (its shards consume their
+/// FIFO backlog before they retire), which is why the executor's
+/// reference is this function and not [`simulate`]: on drop-free runs
+/// `emitted`/`matched`/`delivered` are *identical* between this replay
+/// and an executor run, whereas a cut loses whatever was in flight at
+/// the horizon.
+///
+/// Each switch splits the run into phases, mirroring the executor's
+/// epoch barrier:
 ///
 /// * emissions of phase *k* satisfy `t < epoch_{k+1}` (and
 ///   `t <= duration_ms`); the post-epoch grid per source follows
@@ -546,82 +395,47 @@ pub fn admission_time(epoch_ms: f64, interval_ms: f64, source: usize, n_sources:
 ///   new sources start on the [`admission_time`] grid of their first
 ///   phase and emit nothing before it. Removing sources is not
 ///   replayed (the source set may only grow);
-/// * each phase's event heap is **drained completely** before the
-///   switch — every pre-epoch tuple probes and lands in pre-epoch
-///   window state, exactly as the executor's shards quiesce at the
-///   barrier after consuming their FIFO backlog — and outputs are
-///   recorded without the duration cut-off (the executor drains
-///   in-flight work too, so on drop-free runs
-///   `emitted`/`matched`/`delivered` are *identical* between this
-///   replay and a reconfigured executor run);
+/// * a phase's events are **drained completely** before the switch —
+///   every pre-epoch tuple probes and lands in pre-epoch window state,
+///   exactly as the executor's shards quiesce at the barrier;
 /// * at the switch, every live `(window, key)` group migrates from its
 ///   old instance to `succ[old]`'s buffers (dropped when `None`)
 ///   without re-probing — pre/pre matches were already counted; post
 ///   tuples probe the migrated state;
 /// * node capacity updates take effect at the switch (backlogs carry
 ///   over at their old service charge, as in the executor's pacers).
-///
-/// With `switches` empty this is [`simulate`] minus the duration
-/// truncation (it drains), which is exactly the executor's semantics.
 pub fn simulate_reconfigured(
+    topology: &Topology,
+    dist: impl FnMut(NodeId, NodeId) -> f64,
+    dataflow: &Dataflow,
+    switches: &[PlanSwitch],
+    cfg: &SimConfig,
+) -> SimResult {
+    run(topology, dist, dataflow, switches, cfg, Horizon::Drain)
+}
+
+/// The event loop behind both entry points: one phase per plan, each
+/// drained before the switch that ends it; `horizon` decides what
+/// happens to work past `cfg.duration_ms`.
+fn run(
     topology: &Topology,
     mut dist: impl FnMut(NodeId, NodeId) -> f64,
     dataflow: &Dataflow,
-    switches: &[crate::dataflow::PlanSwitch],
+    switches: &[PlanSwitch],
     cfg: &SimConfig,
+    horizon: Horizon,
 ) -> SimResult {
-    fn serve_at(
-        service_ms: &[f64],
-        busy_until: &mut [f64],
-        busy_ms: &mut [f64],
-        max_queue_ms: f64,
-        node: usize,
-        now: f64,
-    ) -> Option<f64> {
-        let s = service_ms[node];
-        if s == 0.0 {
-            return Some(now);
-        }
-        if busy_until[node] - now > max_queue_ms {
-            return None;
-        }
-        let start = busy_until[node].max(now);
-        let done = start + s;
-        busy_until[node] = done;
-        busy_ms[node] += s;
-        Some(done)
-    }
-
-    let n = topology.len();
-    let mut busy_until = vec![0.0f64; n];
-    let mut busy_ms = vec![0.0f64; n];
-    let mut capacities: Vec<f64> = topology.nodes().iter().map(|nd| nd.capacity).collect();
-    let service_of = |caps: &[f64]| -> Vec<f64> {
-        caps.iter()
-            .map(|&c| if c > 0.0 { 1000.0 / c } else { 0.0 })
-            .collect()
+    let fresh_buffers = |n: usize| -> Vec<WindowBuffers> {
+        std::iter::repeat_with(WindowBuffers::new).take(n).collect()
     };
-    let mut service_ms = service_of(&capacities);
 
+    let mut servers = Servers::new(topology, cfg.max_queue_ms);
+    let mut agenda = Agenda::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Event>, seq: &mut u64, time: f64, kind: EventKind| {
-        *seq += 1;
-        heap.push(Event {
-            time,
-            seq: *seq,
-            kind,
-        });
-    };
-
-    let n_sources = dataflow.sources.len();
-    let mut per_stream_seq: Vec<u64> = vec![0; n_sources];
-    let mut buffers: Vec<WindowBuffers> = (0..dataflow.instances.len())
-        .map(|_| WindowBuffers::new())
-        .collect();
-    // Per source: the next emission time the previous phase stashed
-    // (pre-empted by an epoch boundary or the duration horizon).
+    let mut buffers = fresh_buffers(dataflow.instances.len());
+    let mut per_stream_seq: Vec<u64> = Vec::new();
+    // Per source: its next emission time, once an epoch or the duration
+    // pre-empted it. Index i names the same stream in every phase.
     let mut pending: Vec<f64> = Vec::new();
 
     let mut outputs = Vec::new();
@@ -631,210 +445,139 @@ pub fn simulate_reconfigured(
     let mut processed_events = 0u64;
     let mut truncated = false;
 
-    'phases: for phase in 0..=switches.len() {
-        let df: &Dataflow = if phase == 0 {
-            dataflow
-        } else {
-            &switches[phase - 1].dataflow
-        };
-        let phase_end = switches
-            .get(phase)
-            .map(|s| s.epoch_ms)
-            .unwrap_or(f64::INFINITY);
-        // Seed this phase's emission grid. The source set may only
-        // grow, and only by appending: index i keeps naming the same
-        // stream across every phase (its per-stream sequence — and
-        // therefore its sub-keys — carries over).
-        let n_now = df.sources.len();
-        per_stream_seq.resize(n_now, 0);
-        if phase == 0 {
-            pending = df
-                .sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (1000.0 / s.rate) * (i as f64 / n_sources as f64))
-                .collect();
-        } else {
-            let epoch = switches[phase - 1].epoch_ms;
-            let prev_df: &Dataflow = if phase == 1 {
-                dataflow
-            } else {
-                &switches[phase - 2].dataflow
-            };
-            let n_prev = prev_df.sources.len();
-            assert!(
-                n_now >= n_prev,
-                "plan switches may append sources (mid-run admission) but never remove them \
-                 ({n_prev} -> {n_now})"
-            );
-            for (i, p) in pending.iter_mut().enumerate() {
-                *p = resume_time(
-                    *p,
-                    1000.0 / prev_df.sources[i].rate,
-                    1000.0 / df.sources[i].rate,
-                    epoch,
-                    i,
-                    n_now,
-                );
-            }
-            // Admitted sources join the post-epoch grid, staggered by
-            // the post-plan source count — the same grid the executor's
-            // `add_source` parks its new source threads on.
-            for i in pending.len()..n_now {
-                pending.push(admission_time(epoch, 1000.0 / df.sources[i].rate, i, n_now));
-            }
+    // The current phase: its plan and the epoch that opened it.
+    let mut df = dataflow;
+    let mut epoch_ms = 0.0;
+    let mut upcoming = switches.iter();
+    'phases: loop {
+        let switch = upcoming.next();
+        let phase_end = switch.map_or(f64::INFINITY, |sw| sw.epoch_ms);
+        let emits_at = |t: f64| t < phase_end && t <= cfg.duration_ms;
+
+        // Sources new to this phase (all of them in the first) join the
+        // grid staggered from its epoch, to avoid phase artifacts.
+        let n_sources = df.sources.len();
+        per_stream_seq.resize(n_sources, 0);
+        for i in pending.len()..n_sources {
+            pending.push(admission_time(
+                epoch_ms,
+                1000.0 / df.sources[i].rate,
+                i,
+                n_sources,
+            ));
         }
         for (i, &t0) in pending.iter().enumerate() {
-            if t0 < phase_end && t0 <= cfg.duration_ms && df.sources[i].rate > 0.0 {
-                push(
-                    &mut heap,
-                    &mut seq,
-                    t0,
-                    EventKind::Emit { source: i as u32 },
-                );
+            if emits_at(t0) && df.sources[i].rate > 0.0 {
+                agenda.push(t0, EventKind::Emit { source: i as u32 });
             }
         }
-        let gc0 = if phase == 0 {
-            cfg.gc_interval_ms
-        } else {
-            switches[phase - 1].epoch_ms + cfg.gc_interval_ms
-        };
-        if gc0 < phase_end && gc0 <= cfg.duration_ms {
-            push(&mut heap, &mut seq, gc0, EventKind::Gc);
+        let first_gc = epoch_ms + cfg.gc_interval_ms;
+        if emits_at(first_gc) {
+            agenda.push(first_gc, EventKind::Gc);
         }
 
-        // Drain the phase completely (no duration cut-off: the executor
-        // drains in-flight work too). The per-event handling below must
-        // stay in lockstep with `simulate`'s match arms — it is kept as
-        // a separate loop because the reference engine's truncation
-        // semantics are pinned by many tests, and the zero-switch
-        // equivalence test (`reconfigured_replay_without_switches_…`)
-        // trips if the two drift on emissions or matching.
-        while let Some(ev) = heap.pop() {
+        while let Some(ev) = agenda.pop() {
+            let now = ev.time;
+            if !horizon.keeps(now, cfg.duration_ms) {
+                break 'phases;
+            }
             processed_events += 1;
             if processed_events > cfg.max_events {
                 truncated = true;
                 break 'phases;
             }
-            let now = ev.time;
             match ev.kind {
                 EventKind::Emit { source } => {
                     let s = &df.sources[source as usize];
-                    let interval = 1000.0 / s.rate;
-                    let next = now + interval;
-                    if next < phase_end && next <= cfg.duration_ms {
-                        push(&mut heap, &mut seq, next, EventKind::Emit { source });
-                    } else {
-                        pending[source as usize] = next;
-                    }
                     emitted += 1;
                     per_stream_seq[source as usize] += 1;
                     let tuple_seq = per_stream_seq[source as usize];
-                    let Some(ingest_done) = serve_at(
-                        &service_ms,
-                        &mut busy_until,
-                        &mut busy_ms,
-                        cfg.max_queue_ms,
-                        s.node.idx(),
-                        now,
-                    ) else {
-                        dropped += 1;
-                        continue;
-                    };
-                    let subkey = subkey_of(cfg.seed, source, tuple_seq, cfg.key_space);
-                    for feed in &s.feeds {
-                        let partition = pick_partition(&feed.partition_rates, &mut rng);
-                        let tuple = Tuple {
-                            pair: feed.pair,
-                            side: s.side,
-                            partition: partition as u32,
-                            key: s.key,
-                            subkey,
-                            seq: tuple_seq,
-                            event_time: now,
-                        };
-                        for route in &feed.routes[partition] {
-                            if route.path.len() >= 2 {
-                                let t_arr = ingest_done + dist(route.path[0], route.path[1]);
-                                push(
-                                    &mut heap,
-                                    &mut seq,
-                                    t_arr,
-                                    EventKind::InputArrive {
-                                        path: Arc::clone(&route.path),
-                                        hop: 1,
-                                        instance: route.instance,
-                                        tuple,
-                                    },
-                                );
-                            } else {
-                                match serve_at(
-                                    &service_ms,
-                                    &mut busy_until,
-                                    &mut busy_ms,
-                                    cfg.max_queue_ms,
-                                    s.node.idx(),
-                                    ingest_done,
-                                ) {
-                                    Some(done) => push(
-                                        &mut heap,
-                                        &mut seq,
-                                        done,
-                                        EventKind::InputReady {
-                                            instance: route.instance,
-                                            tuple,
+                    // Ingestion costs one service slot on the source
+                    // node; a saturated source sheds the sample.
+                    if let Some(ingest_done) = servers.serve(s.node, now) {
+                        let subkey = subkey_of(cfg.seed, source, tuple_seq, cfg.key_space);
+                        for feed in &s.feeds {
+                            // Weighted partition assignment.
+                            let partition = pick_partition(&feed.partition_rates, &mut rng);
+                            let tuple = Tuple {
+                                pair: feed.pair,
+                                side: s.side,
+                                partition: partition as u32,
+                                key: s.key,
+                                subkey,
+                                seq: tuple_seq,
+                                event_time: now,
+                            };
+                            for route in &feed.routes[partition] {
+                                let instance = route.instance;
+                                if route.path.len() >= 2 {
+                                    agenda.push(
+                                        ingest_done + dist(route.path[0], route.path[1]),
+                                        EventKind::Arrive {
+                                            path: Arc::clone(&route.path),
+                                            hop: 1,
+                                            cargo: Cargo::Input { instance, tuple },
                                         },
-                                    ),
-                                    None => dropped += 1,
+                                    );
+                                } else {
+                                    // Join co-located with the source:
+                                    // the join work still needs its own
+                                    // service slot.
+                                    match servers.serve(s.node, ingest_done) {
+                                        Some(done) => agenda
+                                            .push(done, EventKind::InputReady { instance, tuple }),
+                                        None => dropped += 1,
+                                    }
                                 }
                             }
                         }
+                    } else {
+                        dropped += 1;
+                    }
+                    let next = now + 1000.0 / s.rate;
+                    if emits_at(next) {
+                        agenda.push(next, EventKind::Emit { source });
+                    } else {
+                        pending[source as usize] = next;
                     }
                 }
-                EventKind::InputArrive {
-                    path,
-                    hop,
-                    instance,
-                    tuple,
-                } => {
+                EventKind::Arrive { path, hop, cargo } => {
                     let node = path[hop as usize];
-                    let Some(done) = serve_at(
-                        &service_ms,
-                        &mut busy_until,
-                        &mut busy_ms,
-                        cfg.max_queue_ms,
-                        node.idx(),
-                        now,
-                    ) else {
+                    let Some(done) = servers.serve(node, now) else {
                         dropped += 1;
                         continue;
                     };
-                    if hop as usize == path.len() - 1 {
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            done,
-                            EventKind::InputReady { instance, tuple },
-                        );
-                    } else {
-                        let next = path[hop as usize + 1];
-                        let t_arr = done + dist(node, next);
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            t_arr,
-                            EventKind::InputArrive {
+                    match (path.get(hop as usize + 1).copied(), cargo) {
+                        (Some(next), _) => agenda.push(
+                            done + dist(node, next),
+                            EventKind::Arrive {
                                 path,
                                 hop: hop + 1,
-                                instance,
-                                tuple,
+                                cargo,
                             },
-                        );
+                        ),
+                        (None, Cargo::Input { instance, tuple }) => {
+                            agenda.push(done, EventKind::InputReady { instance, tuple })
+                        }
+                        (None, Cargo::Output(out)) => {
+                            if horizon.keeps(done, cfg.duration_ms) {
+                                outputs.push(OutputRecord {
+                                    arrival_ms: done,
+                                    latency_ms: done - out.event_time,
+                                    pair: out.pair,
+                                });
+                            }
+                        }
                     }
                 }
                 EventKind::InputReady { instance, tuple } => {
                     let inst = &df.instances[instance as usize];
                     let window = WindowBuffers::window_of(tuple.event_time, cfg.window_ms);
+                    // Zero-copy keyed probe: partners are visited in place,
+                    // in insertion order, restricted to the tuple's
+                    // `(window, subkey)` group — for unkeyed workloads
+                    // (key_space 1, subkey 0) this is the classic flat
+                    // per-window probe.
                     buffers[instance as usize].insert_and_probe_with(
                         window,
                         tuple.subkey,
@@ -860,96 +603,76 @@ pub fn simulate_reconfigured(
                                 event_time: tuple.event_time.max(partner.event_time),
                             };
                             if inst.out_path.len() <= 1 {
+                                // Join runs on the sink itself.
                                 outputs.push(OutputRecord {
                                     arrival_ms: now,
                                     latency_ms: now - out.event_time,
                                     pair: out.pair,
                                 });
                             } else {
-                                let t_arr = now + dist(inst.out_path[0], inst.out_path[1]);
-                                push(
-                                    &mut heap,
-                                    &mut seq,
-                                    t_arr,
-                                    EventKind::OutputArrive {
+                                agenda.push(
+                                    now + dist(inst.out_path[0], inst.out_path[1]),
+                                    EventKind::Arrive {
                                         path: Arc::clone(&inst.out_path),
                                         hop: 1,
-                                        out,
+                                        cargo: Cargo::Output(out),
                                     },
                                 );
                             }
                         },
                     );
                 }
-                EventKind::OutputArrive { path, hop, out } => {
-                    let node = path[hop as usize];
-                    let Some(done) = serve_at(
-                        &service_ms,
-                        &mut busy_until,
-                        &mut busy_ms,
-                        cfg.max_queue_ms,
-                        node.idx(),
-                        now,
-                    ) else {
-                        dropped += 1;
-                        continue;
-                    };
-                    if hop as usize == path.len() - 1 {
-                        outputs.push(OutputRecord {
-                            arrival_ms: done,
-                            latency_ms: done - out.event_time,
-                            pair: out.pair,
-                        });
-                    } else {
-                        let next = path[hop as usize + 1];
-                        let t_arr = done + dist(node, next);
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            t_arr,
-                            EventKind::OutputArrive {
-                                path,
-                                hop: hop + 1,
-                                out,
-                            },
-                        );
-                    }
-                }
                 EventKind::Gc => {
+                    // Watermark = now minus one window of allowed lateness.
                     let watermark = now - cfg.window_ms;
                     for b in &mut buffers {
                         b.gc(watermark, cfg.window_ms);
                     }
                     let next = now + cfg.gc_interval_ms;
-                    if next < phase_end && next <= cfg.duration_ms {
-                        push(&mut heap, &mut seq, next, EventKind::Gc);
+                    if emits_at(next) {
+                        agenda.push(next, EventKind::Gc);
                     }
                 }
             }
         }
 
-        // The epoch: migrate window state to each instance's successor
-        // and apply capacity updates.
-        if let Some(sw) = switches.get(phase) {
-            assert_eq!(
-                sw.succ.len(),
-                buffers.len(),
-                "succession map must cover every old instance"
-            );
-            let mut next_buffers: Vec<WindowBuffers> = (0..sw.dataflow.instances.len())
-                .map(|_| WindowBuffers::new())
-                .collect();
-            for (old, mut b) in buffers.drain(..).enumerate() {
-                if let Some(new) = sw.succ[old] {
-                    next_buffers[new as usize].import_groups(b.export_groups());
-                }
+        // The epoch: window state moves to each instance's successor,
+        // capacities update, and every source's grid continues or
+        // restarts by `resume_time`.
+        let Some(sw) = switch else { break };
+        let post = &sw.dataflow;
+        assert_eq!(
+            sw.succ.len(),
+            buffers.len(),
+            "succession map must cover every old instance"
+        );
+        let old_buffers = std::mem::replace(&mut buffers, fresh_buffers(post.instances.len()));
+        for (mut old, succ) in old_buffers.into_iter().zip(&sw.succ) {
+            if let Some(new) = *succ {
+                buffers[new as usize].import_groups(old.export_groups());
             }
-            buffers = next_buffers;
-            for &(node, cap) in &sw.node_capacity {
-                capacities[node.idx()] = cap;
-            }
-            service_ms = service_of(&capacities);
         }
+        for &(node, cap) in &sw.node_capacity {
+            servers.set_capacity(node, cap);
+        }
+        let n_post = post.sources.len();
+        assert!(
+            n_post >= n_sources,
+            "plan switches may append sources (mid-run admission) but never remove them \
+             ({n_sources} -> {n_post})"
+        );
+        for (i, p) in pending.iter_mut().enumerate() {
+            *p = resume_time(
+                *p,
+                1000.0 / df.sources[i].rate,
+                1000.0 / post.sources[i].rate,
+                sw.epoch_ms,
+                i,
+                n_post,
+            );
+        }
+        df = post;
+        epoch_ms = sw.epoch_ms;
     }
 
     outputs.sort_unstable_by(|a, b| a.arrival_ms.total_cmp(&b.arrival_ms));
@@ -959,7 +682,7 @@ pub fn simulate_reconfigured(
         emitted,
         matched,
         delivered,
-        node_busy_ms: busy_ms,
+        node_busy_ms: servers.busy_ms,
         dropped,
         truncated,
     }
@@ -1070,7 +793,7 @@ pub fn match_survives(a_seq: u64, b_seq: u64, a_side: Side, selectivity: f64, se
 mod tests {
     use super::*;
     use crate::dataflow::Dataflow;
-    use nova_core::baselines::{sink_based, source_based};
+    use nova_core::baselines::{host_based, sink_based, source_based};
     use nova_core::{JoinQuery, StreamSpec};
     use nova_topology::NodeRole;
 
@@ -1367,36 +1090,83 @@ mod tests {
         assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
+    /// One event loop, two horizons: with no switches the drained replay
+    /// and the cut run process the same events in the same order up to
+    /// `duration_ms`, so on a drop-free run the cut result is an exact
+    /// prefix of the drained one.
     #[test]
-    fn reconfigured_replay_without_switches_matches_plain_sim_modulo_drain() {
+    fn plain_sim_is_the_exact_prefix_of_the_switchless_replay() {
         let (t, q) = world(1000.0, 1000.0, 1000.0);
         let plan = q.resolve();
-        let p = sink_based(&q, &plan);
-        let df = Dataflow::from_baseline(&q, &p);
-        let cfg = SimConfig {
-            duration_ms: 3000.0,
-            window_ms: 100.0,
-            selectivity: 0.6,
-            max_queue_ms: f64::INFINITY,
-            ..Default::default()
+        // Keyed, multi-hop: the join runs on the worker; the left input
+        // relays over the right source's queue and the output over the
+        // left source's.
+        let (l, r) = (NodeId(1), NodeId(2));
+        let mut detour = host_based(&q, &plan, NodeId(3));
+        for rep in &mut detour.replicas {
+            rep.left_path = vec![l, r, rep.node];
+            rep.out_path = vec![rep.node, l, q.sink];
+        }
+        for (name, placement, key_space) in [
+            ("sink join", sink_based(&q, &plan), 1),
+            ("worker join over relays", detour, 2),
+        ] {
+            let df = Dataflow::from_baseline(&q, &placement);
+            let cfg = SimConfig {
+                // Off the emission grid, so tuples are in flight at the cut.
+                duration_ms: 2980.0,
+                window_ms: 500.0,
+                selectivity: 0.6,
+                max_queue_ms: f64::INFINITY,
+                key_space,
+                ..Default::default()
+            };
+            let plain = simulate(&t, flat_dist, &df, &cfg);
+            let replay = simulate_reconfigured(&t, flat_dist, &df, &[], &cfg);
+            assert_eq!((plain.dropped, replay.dropped), (0, 0), "{name}");
+            assert_eq!(plain.emitted, replay.emitted, "{name}");
+            assert_eq!(
+                replay.delivered, replay.matched,
+                "{name}: a drain delivers all"
+            );
+            let bits = |o: &OutputRecord| (o.arrival_ms.to_bits(), o.latency_ms.to_bits(), o.pair);
+            let prefix: Vec<_> = replay
+                .outputs
+                .iter()
+                .filter(|o| o.arrival_ms <= cfg.duration_ms)
+                .map(bits)
+                .collect();
+            assert!(!prefix.is_empty(), "{name}: nothing delivered");
+            assert!(
+                prefix.len() < replay.outputs.len(),
+                "{name}: the drain must see a tail the cut loses"
+            );
+            assert_eq!(
+                plain.outputs.iter().map(bits).collect::<Vec<_>>(),
+                prefix,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_duration_rates_are_zero_not_nan() {
+        // Mirrors `ExecResult`: both engines answer 0.0, not inf/NaN.
+        let res = SimResult {
+            outputs: Vec::new(),
+            emitted: 5,
+            matched: 3,
+            delivered: 3,
+            node_busy_ms: vec![2.0],
+            dropped: 0,
+            truncated: false,
         };
-        let plain = simulate(&t, flat_dist, &df, &cfg);
-        let replay = simulate_reconfigured(&t, flat_dist, &df, &[], &cfg);
-        assert_eq!(replay.emitted, plain.emitted);
-        // The replay drains in-flight work past the horizon (executor
-        // semantics), so it may see a small tail of extra matches —
-        // never fewer.
-        assert!(replay.matched >= plain.matched);
-        assert!((replay.matched - plain.matched) as f64 <= (plain.matched as f64 * 0.10).max(8.0));
-        assert_eq!(
-            replay.delivered, replay.matched,
-            "drop-free drain delivers all"
-        );
-        assert_eq!(replay.dropped, 0);
-        // And the replay itself is deterministic.
-        let again = simulate_reconfigured(&t, flat_dist, &df, &[], &cfg);
-        assert_eq!(again.matched, replay.matched);
-        assert_eq!(again.delivered, replay.delivered);
+        for d in [0.0, -1.0] {
+            assert_eq!(res.throughput_per_s(d), 0.0);
+            assert_eq!(res.utilization(NodeId(0), d), 0.0);
+        }
+        assert_eq!(res.throughput_per_s(1000.0), 3.0);
+        assert_eq!(res.utilization(NodeId(0), 4.0), 0.5);
     }
 
     #[test]

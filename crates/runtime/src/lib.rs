@@ -22,10 +22,17 @@
 //!   free), windowed symmetric-hash joins match tuples per (pair,
 //!   tumbling window), the sink records arrival/latency per result.
 //!
+//! One event loop runs it, behind two entry points that differ only in
+//! what happens to work past `duration_ms`: [`simulate`] cuts the run
+//! there (the testbed measurement), [`simulate_reconfigured`] drains
+//! in-flight work and replays live [`PlanSwitch`]es — with no switches,
+//! a drop-free [`simulate`] result is its exact prefix.
+//!
 //! Everything is deterministic given the [`engine::SimConfig`] seed:
 //! two runs of the same configuration are byte-identical, which is what
 //! lets `nova-exec` (the thread-level executor running the *same*
-//! [`Dataflow`]s) cross-validate against this engine count for count.
+//! [`Dataflow`]s) cross-validate against the drained run count for
+//! count.
 //!
 //! ## Example
 //!

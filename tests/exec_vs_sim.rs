@@ -11,7 +11,7 @@
 use nova::core::baselines::{sink_based, source_based};
 use nova::core::placement::direct_path;
 use nova::core::{PlacedReplica, Placement};
-use nova::runtime::{simulate, Dataflow, SimConfig, SimResult};
+use nova::runtime::{simulate, simulate_reconfigured, Dataflow, SimConfig, SimResult};
 use nova::{execute, ExecConfig, ExecResult, JoinQuery, NodeId, NodeRole, StreamSpec, Topology};
 
 /// Uncongested 4-node world: sink(0), left(1), right(2), worker(3).
@@ -468,4 +468,32 @@ fn matched_sets_are_identical_with_shared_selectivity() {
         exec.matched,
         sim.matched
     );
+}
+
+/// A zero-rate source emits nothing in any engine. Regression: `simulate`
+/// seeded source 0's first emission at `inf · 0 = NaN`, which sorted
+/// after every real event, slipped past the duration cut and panicked on
+/// the stream's empty routing table; the replay and the executor were
+/// already silent.
+#[test]
+fn zero_rate_source_emits_nothing_in_every_engine() {
+    let (t, mut q) = world();
+    q.left[0].rate = 0.0;
+    q.right[0].rate = 20.0;
+    let df = Dataflow::from_baseline(&q, &sink_based(&q, &q.resolve()));
+    let sim_cfg = SimConfig {
+        duration_ms: 1000.0,
+        max_queue_ms: f64::INFINITY,
+        ..SimConfig::default()
+    };
+    let plain = simulate(&t, dist, &df, &sim_cfg);
+    let replay = simulate_reconfigured(&t, dist, &df, &[], &sim_cfg);
+    let exec =
+        execute(&t, dist, &df, &ExecConfig::from_sim(&sim_cfg, 8.0)).expect("valid exec config");
+    assert_eq!(
+        (plain.emitted, replay.emitted, exec.emitted),
+        (20, 20, 20),
+        "only the 20 t/s stream emits"
+    );
+    assert_eq!((plain.dropped, replay.dropped, exec.dropped), (0, 0, 0));
 }
