@@ -15,8 +15,8 @@
 //!
 //! Two skewed scenarios ride along: a **single-hot-pair** saturation
 //! case (one pair, one giant window, 128 sub-keys — the workload where
-//! `(window, pair)` routing serializes on one shard and only key-bucket
-//! routing scales) and **Zipfian pair weights** (4 pairs, head pair
+//! `(window, pair)` routing alone would serialize on one shard and the
+//! sub-key in the shard hash is what scales) and **Zipfian pair weights** (4 pairs, head pair
 //! ~54 % of traffic).
 //!
 //! Run with: `cargo bench -p nova-bench --bench exec_throughput`
@@ -172,26 +172,21 @@ fn bench_exec_throughput(c: &mut Criterion) {
     });
 
     // Single-hot-pair saturation: one pair, one giant window spanning
-    // the run, 128 sub-keys. Under `(window, pair)` routing (buckets=1)
-    // every tuple hashes to ONE shard — the sweep shows the keyed
-    // buckets recovering the parallelism the PR 2 hash cannot.
+    // the run, 128 sub-keys. `(window, pair)` alone would hash every
+    // tuple to ONE shard — the sweep shows sub-key routing recovering
+    // the parallelism.
     let hp_rate = 100_000.0;
     let (ht, hdf) = throughput_world(1, hp_rate);
-    let hp_base = hot_pair_cfg(500.0, 128, 1, 1);
+    let hp_base = hot_pair_cfg(500.0, 128, 1);
     let hp_probe = run(&ht, &hdf, &hp_base);
     assert!(hp_probe.delivered > 0, "hot pair must deliver outputs");
-    for (shards, buckets) in [(4usize, 1usize), (2, 16), (4, 16), (8, 16)] {
-        let cfg = ExecConfig {
-            shards,
-            key_buckets: buckets,
-            ..hp_base
-        };
+    for shards in [2usize, 4, 8] {
+        let cfg = ExecConfig { shards, ..hp_base };
         let res = run(&ht, &hdf, &cfg);
         println!(
-            "exec_throughput[hot-pair, {} shard(s), {} bucket(s)]: {} tuples + {} matches \
+            "exec_throughput[hot-pair, {} shard(s)]: {} tuples + {} matches \
              in {:>5.0} ms wall -> {:>9.0} tuples/s (threaded: {:>9.0})",
             shards,
-            buckets,
             res.emitted,
             res.matched,
             res.wall_ms,
@@ -200,23 +195,19 @@ fn bench_exec_throughput(c: &mut Criterion) {
         );
         assert_eq!(
             res.matched, hp_probe.matched,
-            "keyed sharding changed the hot-pair match set at \
-             {shards} shards / {buckets} buckets"
+            "keyed sharding changed the hot-pair match set at {shards} shards"
         );
     }
     group.bench_function("threaded_hot_pair_200k", |b| {
         b.iter(|| run(&ht, &hdf, std::hint::black_box(&hp_base)))
     });
-    for (label, buckets) in [("pr2_routing", 1usize), ("keyed", 16)] {
-        let cfg = ExecConfig {
-            shards: 4,
-            key_buckets: buckets,
-            ..hp_base
-        };
-        group.bench_function(format!("sharded4_hot_pair_200k_{label}"), |b| {
-            b.iter(|| run(&ht, &hdf, std::hint::black_box(&cfg)))
-        });
-    }
+    let hp_sharded = ExecConfig {
+        shards: 4,
+        ..hp_base
+    };
+    group.bench_function("sharded4_hot_pair_200k", |b| {
+        b.iter(|| run(&ht, &hdf, std::hint::black_box(&hp_sharded)))
+    });
 
     // Zipfian pair weights: 4 pairs, head pair ~54 % of the traffic,
     // keyed workload — count identity under realistic pair skew.
@@ -228,29 +219,23 @@ fn bench_exec_throughput(c: &mut Criterion) {
     };
     let z_probe = run(&zt, &zdf, &z_base);
     assert!(z_probe.delivered > 0, "zipf workload must deliver outputs");
-    for (shards, buckets) in [(4usize, 1usize), (4, 16)] {
-        let cfg = ExecConfig {
-            shards,
-            key_buckets: buckets,
-            ..z_base
-        };
-        let res = run(&zt, &zdf, &cfg);
-        println!(
-            "exec_throughput[zipf, {} shard(s), {} bucket(s)]: {} tuples + {} matches \
-             in {:>5.0} ms wall -> {:>9.0} tuples/s",
-            shards,
-            buckets,
-            res.emitted,
-            res.matched,
-            res.wall_ms,
-            res.input_tuples_per_wall_s(),
-        );
-        assert_eq!(
-            res.matched, z_probe.matched,
-            "keyed sharding changed the zipf match set at \
-             {shards} shards / {buckets} buckets"
-        );
-    }
+    let z_sharded = ExecConfig {
+        shards: 4,
+        ..z_base
+    };
+    let res = run(&zt, &zdf, &z_sharded);
+    println!(
+        "exec_throughput[zipf, 4 shard(s)]: {} tuples + {} matches \
+         in {:>5.0} ms wall -> {:>9.0} tuples/s",
+        res.emitted,
+        res.matched,
+        res.wall_ms,
+        res.input_tuples_per_wall_s(),
+    );
+    assert_eq!(
+        res.matched, z_probe.matched,
+        "keyed sharding changed the zipf match set at 4 shards"
+    );
 
     // The simulator on the identical dataflow, scaled to a tenth of the
     // virtual horizon (its single-threaded event loop pays ~4 heap

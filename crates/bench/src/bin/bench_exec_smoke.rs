@@ -2,7 +2,7 @@
 //!
 //! Runs the `exec_throughput` workloads (see
 //! [`nova_bench::throughput_world`]) with short iterations across a
-//! (shards × key-buckets) matrix next to the thread-per-operator
+//! shard-count sweep next to the thread-per-operator
 //! (`shards = 1`, labelled `threaded`) baseline, over five scenarios:
 //!
 //! * **uniform** — 2 equal-rate pairs, one emission interval per
@@ -10,8 +10,8 @@
 //!   `BENCH_exec.json` stays comparable run over run;
 //! * **hot-pair** — a *single* pair with one giant window spanning the
 //!   whole run ([`nova_bench::hot_pair_cfg`]): the skew failure mode
-//!   where `(window, pair)` routing serializes on one shard and only
-//!   key-bucket routing parallelizes;
+//!   where `(window, pair)` routing alone would serialize on one shard
+//!   and the sub-key in the shard hash is what parallelizes;
 //! * **zipf** — 4 pairs with Zipfian rates
 //!   ([`nova_bench::zipf_pair_rates`]): skewed pair popularity with a
 //!   keyed workload, count-identity under realistic imbalance;
@@ -37,17 +37,13 @@
 //! Gates (a failure fails the CI job loudly):
 //!
 //! * `emitted` / `matched` counts are **identical** across every
-//!   shard and key-bucket count of a scenario, on any host — sharding
-//!   may not change what joins;
+//!   shard count of a scenario, on any host — sharding may not change
+//!   what joins;
 //! * on hosts with ≥ 4 cores, uniform: `sharded(4)` ≥ 1.5× threaded
 //!   (PR 2's regression wall, byte-identical workload);
-//! * on hosts with ≥ 4 cores, hot-pair: `sharded(4, buckets=16)` ≥
-//!   1.2× threaded — the speedup `(window, pair)` routing cannot
-//!   produce on this workload (its own ratio is printed for contrast);
-//! * on hosts with ≥ 4 cores, zipf (keyed workload, `key_space` 64):
-//!   bucket routing keeps ≥ 85 % of the buckets=1 4-shard throughput —
-//!   both rows exercise the keyed probe path, so this is the
-//!   keyed-routing-must-not-regress gate;
+//! * on hosts with ≥ 4 cores, hot-pair: `sharded(4)` ≥ 1.2× threaded —
+//!   the speedup `(window, pair)` routing alone cannot produce on this
+//!   workload (zipf, the other keyed scenario, only reports its ratio);
 //! * on any host, churn: `emitted`/`matched`/`delivered` identical to
 //!   the simulator replay, clean epoch splits, live state migrated;
 //!   on ≥ 4 cores additionally handoff p99 ≤ 250 ms;
@@ -170,18 +166,17 @@ fn measure(
 struct Run {
     row: &'static str,
     shards: usize,
-    key_buckets: usize,
     batch: usize,
     res: ExecResult,
 }
 
-/// A named workload + config + the `(shards, key_buckets)` sweep.
+/// A named workload + config + the shard-count sweep.
 struct Scenario {
     name: &'static str,
     topology: Topology,
     dataflow: Dataflow,
     base: ExecConfig,
-    sweep: Vec<(usize, usize)>,
+    sweep: Vec<usize>,
     /// `batch_size` values to sweep at one shard (the
     /// single-worker row isolates the framing cost from parallelism) —
     /// the rows behind the batch-speedup gate.
@@ -205,14 +200,14 @@ fn scenario(name: &str, duration_ms: f64) -> Scenario {
                 topology,
                 dataflow,
                 base: throughput_cfg(duration_ms, 1000.0 / rate, 1.0, 1),
-                sweep: vec![(1, 1), (2, 1), (4, 1), (4, 4), (8, 1), (8, 8)],
+                sweep: vec![1, 2, 4, 8],
                 batch_sweep: vec![1, 2, 7, 64],
                 aggregate_demand: 4.0 * rate,
                 telemetry_baseline: true,
             }
         }
-        // One pair, one giant window, 128 sub-keys: under (window, pair)
-        // routing every tuple of the run hashes to a single shard.
+        // One pair, one giant window, 128 sub-keys: (window, pair)
+        // alone would hash every tuple of the run to a single shard.
         "hot-pair" => {
             let rate = 100_000.0;
             let (topology, dataflow) = throughput_world(1, rate);
@@ -220,8 +215,8 @@ fn scenario(name: &str, duration_ms: f64) -> Scenario {
                 name: "hot-pair",
                 topology,
                 dataflow,
-                base: hot_pair_cfg(duration_ms, 128, 1, 1),
-                sweep: vec![(4, 1), (2, 16), (4, 16), (8, 16)],
+                base: hot_pair_cfg(duration_ms, 128, 1),
+                sweep: vec![2, 4, 8],
                 batch_sweep: vec![],
                 aggregate_demand: 2.0 * rate,
                 telemetry_baseline: false,
@@ -242,7 +237,7 @@ fn scenario(name: &str, duration_ms: f64) -> Scenario {
                 topology,
                 dataflow,
                 base,
-                sweep: vec![(4, 1), (4, 16), (8, 16)],
+                sweep: vec![4, 8],
                 batch_sweep: vec![],
                 aggregate_demand,
                 telemetry_baseline: false,
@@ -266,15 +261,11 @@ fn run_matrix(sc: &Scenario, cap: &mut Capture) -> Vec<Run> {
     let _ = nova_exec::execute(&sc.topology, |_, _| 0.0, &sc.dataflow, &sc.base);
     let mut runs = Vec::new();
     let row = |runs: &mut Vec<Run>, cap: &mut Capture, row, cfg: ExecConfig| {
-        let label = format!(
-            "{row}-s{}-b{}-f{}",
-            cfg.shards, cfg.key_buckets, cfg.batch_size
-        );
+        let label = format!("{row}-s{}-f{}", cfg.shards, cfg.batch_size);
         let res = measure(&sc.topology, &sc.dataflow, &cfg, sc.name, &label, cap);
         runs.push(Run {
             row,
             shards: cfg.shards,
-            key_buckets: cfg.key_buckets,
             batch: cfg.batch_size,
             res,
         });
@@ -303,17 +294,8 @@ fn run_matrix(sc: &Scenario, cap: &mut Capture) -> Vec<Run> {
             }
         }
     }
-    for &(shards, key_buckets) in &sc.sweep {
-        row(
-            &mut runs,
-            cap,
-            "sharded",
-            ExecConfig {
-                shards,
-                key_buckets,
-                ..sc.base
-            },
-        );
+    for &shards in &sc.sweep {
+        row(&mut runs, cap, "sharded", ExecConfig { shards, ..sc.base });
     }
     // Batch-size sweep at one shard: one worker, no
     // sharding, so the rows isolate what the frame size buys on the
@@ -334,15 +316,15 @@ fn run_matrix(sc: &Scenario, cap: &mut Capture) -> Vec<Run> {
     runs
 }
 
-/// tuples/s of the (row label, shards, buckets) row. Panics when the
+/// tuples/s of the (row label, shards) row. Panics when the
 /// row is missing — a gate comparing against
 /// an absent row is a bug in the scenario's sweep, not a
 /// 0.0-throughput measurement.
-fn tput(runs: &[Run], row: &str, shards: usize, key_buckets: usize) -> f64 {
+fn tput(runs: &[Run], row: &str, shards: usize) -> f64 {
     runs.iter()
-        .find(|r| r.row == row && r.shards == shards && r.key_buckets == key_buckets)
+        .find(|r| r.row == row && r.shards == shards)
         .map(|r| r.res.input_tuples_per_wall_s())
-        .unwrap_or_else(|| panic!("no {row}({shards}, buckets={key_buckets}) row in the sweep"))
+        .unwrap_or_else(|| panic!("no {row}({shards}) row in the sweep"))
 }
 
 /// tuples/s of the threaded batch-sweep row with the given frame size;
@@ -361,15 +343,14 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
         sc.aggregate_demand / 1e6
     );
     println!(
-        "{:<13} {:>7} {:>8} {:>6} {:>10} {:>10} {:>9} {:>12} {:>8}",
-        "row", "shards", "buckets", "batch", "emitted", "matched", "wall ms", "tuples/s", "threads"
+        "{:<13} {:>7} {:>6} {:>10} {:>10} {:>9} {:>12} {:>8}",
+        "row", "shards", "batch", "emitted", "matched", "wall ms", "tuples/s", "threads"
     );
     for r in runs {
         println!(
-            "{:<13} {:>7} {:>8} {:>6} {:>10} {:>10} {:>9.0} {:>12.0} {:>8}",
+            "{:<13} {:>7} {:>6} {:>10} {:>10} {:>9.0} {:>12.0} {:>8}",
             r.row,
             r.shards,
-            r.key_buckets,
             r.batch,
             r.res.emitted,
             r.res.matched,
@@ -379,8 +360,8 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
         );
     }
 
-    // Correctness: sharding — at any shard AND bucket count — must
-    // never change what joins.
+    // Correctness: sharding — at any shard count — must never change
+    // what joins.
     let reference = &runs[0].res;
     assert!(
         reference.delivered > 0,
@@ -389,8 +370,8 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
     );
     for r in &runs[1..] {
         let tag = format!(
-            "{}: {}(shards={}, buckets={}, batch={})",
-            sc.name, r.row, r.shards, r.key_buckets, r.batch
+            "{}: {}(shards={}, batch={})",
+            sc.name, r.row, r.shards, r.batch
         );
         assert_eq!(
             r.res.matched, reference.matched,
@@ -411,28 +392,14 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
     // Performance gates: where the cores exist, sharding must pay off.
     // Uniform keeps PR 2's 1.5× regression wall (deliberately below the
     // dedicated-4-core target; shared CI runners are noisy). Hot-pair
-    // is the new claim: key buckets must yield ≥ 1.2× where
-    // (window, pair) routing structurally cannot. Zipf — the scenario
-    // whose rows all run the keyed probe path — pins bucket routing to
-    // ≥ 85 % of the buckets=1 4-shard throughput. 1-to-3-core hosts
-    // only report.
-    let threaded = tput(runs, "threaded", 1, 1);
+    // is the keyed claim: sub-key routing must yield ≥ 1.2× where
+    // (window, pair) routing alone structurally cannot. Zipf reports
+    // its ratio. 1-to-3-core hosts only report.
+    let threaded = tput(runs, "threaded", 1);
     match sc.name {
         "uniform" => {
-            let sharded4 = tput(runs, "sharded", 4, 1);
-            let layout4 = tput(runs, "sharded", 4, 4);
-            let speedup = sharded4 / threaded.max(1.0);
-            // key_space is 1 here, so the buckets=4 rows carry sub-key 0
-            // throughout: one constant (non-zero) bucket that permutes
-            // the (window, pair) shard layout without splitting any
-            // slice. Count identity above is the check; the ratio is
-            // informational (the keyed-probe perf gate lives in the
-            // zipf scenario, where sub-key diversity is real).
-            println!(
-                "uniform: sharded(4)/threaded = {speedup:.2}×, \
-                 bucket-permuted layout(4,4)/sharded(4,1) = {:.2} on {cores} cores",
-                layout4 / sharded4.max(1.0)
-            );
+            let speedup = tput(runs, "sharded", 4) / threaded.max(1.0);
+            println!("uniform: sharded(4)/threaded = {speedup:.2}× on {cores} cores");
             // Metrics-overhead gate: the telemetry plane's hot-path
             // cost is one relaxed atomic bump per event, so the
             // instrumented threaded run must hold ≥ 97 % of the
@@ -485,20 +452,13 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
             }
         }
         "hot-pair" => {
-            let pr2 = tput(runs, "sharded", 4, 1);
-            let keyed = tput(runs, "sharded", 4, 16);
-            println!(
-                "hot-pair: sharded(4, buckets=1)/threaded = {:.2}× (PR 2 routing, \
-                 expected ~1×), sharded(4, buckets=16)/threaded = {:.2}× on {cores} cores",
-                pr2 / threaded.max(1.0),
-                keyed / threaded.max(1.0),
-            );
+            let speedup = tput(runs, "sharded", 4) / threaded.max(1.0);
+            println!("hot-pair: sharded(4)/threaded = {speedup:.2}× on {cores} cores");
             if cores >= 4 {
-                let speedup = keyed / threaded.max(1.0);
                 assert!(
                     speedup >= 1.2,
                     "keyed sharding failed to parallelize the hot pair: \
-                     sharded(4, buckets=16) only {speedup:.2}× the threaded baseline \
+                     sharded(4) only {speedup:.2}× the threaded baseline \
                      on a {cores}-core host"
                 );
             } else {
@@ -506,27 +466,10 @@ fn check_scenario(sc: &Scenario, runs: &[Run], cores: usize) {
             }
         }
         "zipf" => {
-            // Both 4-shard rows run the keyed probe path (key_space
-            // 64), differing only in bucket routing — the real "keyed
-            // routing must not regress throughput" gate.
-            let unkeyed_routing = tput(runs, "sharded", 4, 1);
-            let keyed_routing = tput(runs, "sharded", 4, 16);
-            let ratio = keyed_routing / unkeyed_routing.max(1.0);
             println!(
-                "{}: sharded(4, buckets=16)/threaded = {:.2}×, \
-                 keyed(4,16)/unkeyed-routing(4,1) = {ratio:.2} on {cores} cores",
-                sc.name,
-                keyed_routing / threaded.max(1.0),
+                "zipf: sharded(4)/threaded = {:.2}× on {cores} cores (reporting only)",
+                tput(runs, "sharded", 4) / threaded.max(1.0),
             );
-            if cores >= 4 {
-                assert!(
-                    ratio >= 0.85,
-                    "key-bucket routing regressed the keyed workload: \
-                     buckets=16 at {ratio:.2} of the buckets=1 4-shard throughput"
-                );
-            } else {
-                println!("host has {cores} core(s) < 4: reporting only");
-            }
         }
         // scenario() rejects unknown names before any run starts; a new
         // scenario must declare its own gates here rather than silently
@@ -542,12 +485,11 @@ fn write_json(sc: &Scenario, runs: &[Run], cores: usize, duration_ms: f64) {
             entries.push_str(",\n");
         }
         entries.push_str(&format!(
-            "    {{\"row\": \"{}\", \"shards\": {}, \"key_buckets\": {}, \
+            "    {{\"row\": \"{}\", \"shards\": {}, \
              \"batch\": {}, \"tuples_per_s\": {:.0}, \"wall_ms\": {:.1}, \"emitted\": {}, \
              \"matched\": {}, \"delivered\": {}, \"threads\": {}}}",
             r.row,
             r.shards,
-            r.key_buckets,
             r.batch,
             r.res.input_tuples_per_wall_s(),
             r.res.wall_ms,

@@ -13,7 +13,7 @@
 //! Run with `--real` to additionally re-run every placement on the
 //! `nova-exec` executor and emit side-by-side simulator/executor
 //! columns; `--help` lists the executor knobs (shards, batch size,
-//! pinning, key space/buckets — parsed by
+//! pinning, key space — parsed by
 //! [`nova_bench::real_exec_cfg`], documented by
 //! [`nova_bench::REAL_FLAGS_USAGE`]).
 

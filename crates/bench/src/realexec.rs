@@ -30,36 +30,47 @@ pub const REAL_FLAGS_USAGE: &str = "  \
                         cores (Linux only, silently a no-op elsewhere;
                         a performance hint — never changes counts)
   --key-space N         per-tuple join sub-key cardinality — a workload
-                        property, applied to BOTH engines (default 1)
-  --key-buckets N       key buckets for shard routing (default 1 =
-                        (window, pair) routing; >1 splits hot windows
-                        by sub-key across shards)
+                        property, applied to BOTH engines (default 1);
+                        with --shards > 1 it also splits hot windows by
+                        sub-key across shards
   --metrics-out PATH    append one JSON-lines telemetry snapshot per
                         --real re-run (tagged with the approach name;
                         the executor's final per-shard/per-source
                         registry state — ignored without --real)";
 
-/// Flags of the removed M:N backend (DESIGN.md §5). The parser scans
-/// for the flags it knows and ignores the rest, so without this list a
-/// stale `--backend async --workers 4` would silently benchmark the
-/// thread engine.
-const RETIRED_FLAGS: [&str; 3] = ["--backend", "--workers", "--run-budget"];
+const ENGINE_FLAG_GONE: &str = "was removed with the async backend: there is one engine, and \
+     --shards N alone selects its parallelism (1 = thread per operator)";
+
+/// Flags that no longer exist, each with what replaced it (DESIGN.md
+/// §5). The parser scans for the flags it knows and ignores the rest,
+/// so without this list a stale `--backend async --workers 4` or
+/// `--key-buckets 16` would silently benchmark something else.
+const RETIRED_FLAGS: [(&str, &str); 4] = [
+    ("--backend", ENGINE_FLAG_GONE),
+    ("--workers", ENGINE_FLAG_GONE),
+    ("--run-budget", ENGINE_FLAG_GONE),
+    (
+        "--key-buckets",
+        "was removed: shard routing follows the workload's key space, so \
+         --key-space N (with --shards > 1) is what spreads a hot window by sub-key",
+    ),
+];
 
 /// Parse the figure binaries' shared `--real` / `--shards N` /
-/// `--batch-size N` / `--pin-workers` / `--key-space N` /
-/// `--key-buckets N` flags and build the executor config for the
-/// `--real` re-runs: the simulator settings dilated by `time_scale`,
-/// at the requested shard and key-bucket counts (both default to 1; a
-/// malformed *count* falls back to its default, but a retired engine
-/// flag — `--backend`, `--workers`, `--run-budget` — is an error:
+/// `--batch-size N` / `--pin-workers` / `--key-space N` flags and build
+/// the executor config for the `--real` re-runs: the simulator settings
+/// dilated by `time_scale`, at the requested shard count (default 1).
+/// A count that does not parse (`--shards four`, `--batch-size 6x`, a
+/// flag with no value) and a retired flag — `--backend`, `--workers`,
+/// `--run-budget`, `--key-buckets` — are errors naming the flag:
 /// silently benchmarking something other than what the user typed
-/// would be worse than stopping). The sub-key cardinality is inherited
+/// would be worse than stopping. The sub-key cardinality is inherited
 /// from the `SimConfig` (patched by [`with_key_space`] so *both*
-/// engines' columns agree on the workload) — with `key_space = 1` every tuple
-/// carries sub-key 0 and `--key-buckets` alone only permutes the
-/// `(window, pair)` shard layout; pass `--key-space N` too to exercise
-/// keyed sub-pair sharding. Returns `Ok(None)` when `--real` is
-/// absent. [`REAL_FLAGS_USAGE`] documents exactly these flags.
+/// engines' columns agree on the workload) — it is also what the
+/// executor's shard routing spreads on, so pass `--key-space N` with
+/// `--shards N` to exercise keyed sub-pair sharding. Returns `Ok(None)`
+/// when `--real` is absent. [`REAL_FLAGS_USAGE`] documents exactly
+/// these flags.
 pub fn parse_real_exec_cfg(
     args: &[String],
     sim: &SimConfig,
@@ -68,29 +79,27 @@ pub fn parse_real_exec_cfg(
     if !args.iter().any(|a| a == "--real") {
         return Ok(None);
     }
-    let value_of = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
+    let count = |name: &str, default: usize| -> Result<usize, String> {
+        let Some(i) = args.iter().position(|a| a == name) else {
+            return Ok(default);
+        };
+        let value = args.get(i + 1).map(String::as_str).unwrap_or("");
+        value
+            .parse::<usize>()
+            .map_err(|_| format!("{name} needs a non-negative integer, got {value:?}"))
     };
-    let count = |name: &str, default: usize| {
-        value_of(name)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(default)
-    };
-    if let Some(flag) = RETIRED_FLAGS.iter().find(|f| args.iter().any(|a| a == *f)) {
-        return Err(format!(
-            "{flag} was removed with the async backend: there is one engine, and \
-             --shards N alone selects its parallelism (1 = thread per operator)"
-        ));
+    if let Some((flag, why)) = RETIRED_FLAGS
+        .iter()
+        .find(|(f, _)| args.iter().any(|a| a == f))
+    {
+        return Err(format!("{flag} {why}"));
     }
     let mut cfg = ExecConfig {
-        shards: count("--shards", 1),
-        key_buckets: count("--key-buckets", 1),
+        shards: count("--shards", 1)?,
         pin_workers: args.iter().any(|a| a == "--pin-workers"),
         ..ExecConfig::from_sim(sim, time_scale)
     };
-    cfg.batch_size = count("--batch-size", cfg.batch_size);
+    cfg.batch_size = count("--batch-size", cfg.batch_size)?;
     cfg.validate().map_err(|e| e.to_string())?;
     Ok(Some(cfg))
 }
@@ -274,32 +283,22 @@ pub fn throughput_cfg(
         max_queue_ms: f64::INFINITY,
         time_scale: 1000.0,
         batch_size: 1024,
-        channel_capacity: 64,
-        max_tuples_per_source: u64::MAX,
         shards,
         key_space: 1,
-        key_buckets: 1,
         ..ExecConfig::default()
     }
 }
 
 /// The **single-hot-pair saturation** configuration: one giant tumbling
-/// window spanning the whole run, a keyed workload (`key_space`
-/// sub-keys), and `key_buckets` routing buckets. Under `(window, pair)`
-/// routing (`key_buckets = 1`) every tuple of the run lands on one
-/// shard — the skew failure mode where PR 2's sharding shows no
-/// speedup; with `key_buckets > 1` the window's state hash-splits by
-/// sub-key across all shards. Selectivity keeps the output volume of
-/// the giant window's keyed cross-product bounded.
-pub fn hot_pair_cfg(
-    duration_ms: f64,
-    key_space: u32,
-    key_buckets: usize,
-    shards: usize,
-) -> ExecConfig {
+/// window spanning the whole run and a keyed workload (`key_space`
+/// sub-keys). `(window, pair)` alone would land every tuple of the run
+/// on one shard — the skew failure mode where PR 2's sharding showed no
+/// speedup; the executor's routing also hashes the sub-key, so the
+/// window's state splits across all shards. Selectivity keeps the
+/// output volume of the giant window's keyed cross-product bounded.
+pub fn hot_pair_cfg(duration_ms: f64, key_space: u32, shards: usize) -> ExecConfig {
     ExecConfig {
         key_space,
-        key_buckets,
         // One window covering the entire horizon (+1 ms so boundary
         // tuples at t == duration stay inside it); selectivity 1 %.
         ..throughput_cfg(duration_ms, duration_ms + 1.0, 0.01, shards)
@@ -348,9 +347,40 @@ mod tests {
             assert!(err.contains("--shards"), "error must name the fix: {err}");
         }
 
+        // The bucket-count knob went the same way; its error points at
+        // the flag that spreads a hot window now.
+        let err = parse_real_exec_cfg(
+            &args(&["--real", "--shards", "4", "--key-buckets", "16"]),
+            &sim,
+            8.0,
+        )
+        .unwrap_err();
+        assert!(err.contains("--key-buckets"), "{err}");
+        assert!(err.contains("--key-space"), "{err}");
+
         // Zero-knob values flow into ExecConfig::validate.
         let err = parse_real_exec_cfg(&args(&["--real", "--shards", "0"]), &sim, 8.0).unwrap_err();
         assert!(err.contains("shards"), "{err}");
+    }
+
+    #[test]
+    fn parser_rejects_counts_that_do_not_parse() {
+        // Regression: a malformed count used to fall back to the
+        // default, so `--shards four` benchmarked one shard.
+        let sim = SimConfig::default();
+        for (flag, value) in [
+            ("--shards", "four"),
+            ("--shards", "-1"),
+            ("--batch-size", "6x"),
+            ("--batch-size", "--pin-workers"),
+        ] {
+            let err = parse_real_exec_cfg(&args(&["--real", flag, value]), &sim, 8.0).unwrap_err();
+            assert!(err.contains(flag), "error must name the flag: {err}");
+            assert!(err.contains(value), "error must name the value: {err}");
+        }
+        // A count flag with nothing after it is the same mistake.
+        let err = parse_real_exec_cfg(&args(&["--real", "--shards"]), &sim, 8.0).unwrap_err();
+        assert!(err.contains("--shards"), "{err}");
     }
 
     #[test]

@@ -60,7 +60,7 @@ use std::time::Duration;
 use nova_runtime::{Dataflow, PlanSwitch};
 use nova_topology::NodeId;
 
-use crate::control::{EpochStats, ExecHandle, ReconfigError, ShardScale};
+use crate::control::{EpochStats, ExecHandle, ReconfigError};
 use crate::metrics::{ExecResult, MetricsSnapshot};
 
 /// Tuning knobs of the autoscaling [`Policy`]. All time quantities are
@@ -125,7 +125,9 @@ impl Default for AutoscaleConfig {
     }
 }
 
-/// What the [`Policy`] chose at one sample.
+/// What the [`Policy`] chose at one sample. A scale decision names the
+/// target shard count and nothing else: how tuples spread over those
+/// shards follows from the workload's key space ([`crate::sharded`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// No action: thresholds not met, streak incomplete, or cooldown.
@@ -136,9 +138,6 @@ pub enum Decision {
     ScaleUp {
         /// Target shards per instance.
         shards: usize,
-        /// Target key buckets (kept equal to `shards` so the bucket
-        /// space can actually spread across the new workers).
-        key_buckets: usize,
         /// Node index whose pacer backlog crossed
         /// [`AutoscaleConfig::backlog_high_ms`], if any.
         relocate_from: Option<usize>,
@@ -147,8 +146,6 @@ pub enum Decision {
     ScaleDown {
         /// Target shards per instance.
         shards: usize,
-        /// Target key buckets (== `shards`).
-        key_buckets: usize,
     },
 }
 
@@ -288,7 +285,6 @@ impl Policy {
                 self.shards = target.max(self.shards);
                 Decision::ScaleUp {
                     shards: self.shards,
-                    key_buckets: self.shards,
                     relocate_from: worst_backlog_node,
                 }
             } else {
@@ -298,7 +294,6 @@ impl Policy {
             self.shards = (self.shards / self.cfg.scale_factor.max(2)).max(self.cfg.min_shards);
             Decision::ScaleDown {
                 shards: self.shards,
-                key_buckets: self.shards,
             }
         } else {
             Decision::Hold
@@ -400,8 +395,8 @@ pub struct RecordedSwitch {
     pub switch: PlanSwitch,
     /// True when it was an [`ExecHandle::add_source`] admission.
     pub admitted: bool,
-    /// Shard-layout override, when the switch carried one.
-    pub scale: Option<ShardScale>,
+    /// Shard-count override, when the switch carried one.
+    pub scale: Option<usize>,
     /// The epoch's measurements.
     pub stats: EpochStats,
 }
@@ -682,7 +677,6 @@ fn control_loop(
                 Decision::Hold => ("hold".to_string(), f64::NAN, "held".to_string()),
                 Decision::ScaleUp {
                     shards,
-                    key_buckets,
                     relocate_from,
                 } => {
                     let epoch_ms = snap.at_ms + cfg.epoch_lead_ms;
@@ -699,22 +693,18 @@ fn control_loop(
                         succ,
                         node_capacity: Vec::new(),
                     };
-                    let scale = ShardScale {
-                        shards,
-                        key_buckets,
-                    };
                     let action = if relocate_from.is_some() {
                         "scale-up+relocate".to_string()
                     } else {
                         "scale-up".to_string()
                     };
-                    match handle.apply_scaled(&switch, &mut *dist, scale) {
+                    match handle.apply_scaled(&switch, &mut *dist, shards) {
                         Ok(stats) => {
                             current = switch.dataflow.clone();
                             switches.push(RecordedSwitch {
                                 switch,
                                 admitted: false,
-                                scale: Some(scale),
+                                scale: Some(shards),
                                 stats,
                             });
                             (action, epoch_ms, "applied".to_string())
@@ -725,10 +715,7 @@ fn control_loop(
                         }
                     }
                 }
-                Decision::ScaleDown {
-                    shards,
-                    key_buckets,
-                } => {
+                Decision::ScaleDown { shards } => {
                     let epoch_ms = snap.at_ms + cfg.epoch_lead_ms;
                     let switch = PlanSwitch {
                         epoch_ms,
@@ -736,17 +723,13 @@ fn control_loop(
                         succ: identity_succ(&current),
                         node_capacity: Vec::new(),
                     };
-                    let scale = ShardScale {
-                        shards,
-                        key_buckets,
-                    };
-                    match handle.apply_scaled(&switch, &mut *dist, scale) {
+                    match handle.apply_scaled(&switch, &mut *dist, shards) {
                         Ok(stats) => {
                             current = switch.dataflow.clone();
                             switches.push(RecordedSwitch {
                                 switch,
                                 admitted: false,
-                                scale: Some(scale),
+                                scale: Some(shards),
                                 stats,
                             });
                             ("scale-down".to_string(), epoch_ms, "applied".to_string())

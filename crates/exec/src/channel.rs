@@ -185,6 +185,11 @@ pub struct Receiver<T> {
     inner: MpscReceiver<T>,
 }
 
+/// Depth, in messages, of every channel the executor wires (the
+/// backpressure window). One value in every run the repository has
+/// recorded, so a constant rather than a field of `ExecConfig`.
+pub(crate) const CHANNEL_CAPACITY: usize = 64;
+
 /// Create a bounded link buffering at most `capacity` messages.
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     let (tx, rx) = sync_channel(capacity.max(1));

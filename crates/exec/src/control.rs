@@ -24,7 +24,7 @@
 //! 4. **Switch** — the control plane compiles the post plan, re-bases
 //!    the sink's Eof quorum ([`crate::channel::SinkMsg::Epoch`]),
 //!    spawns a *fresh generation* of shard threads whose `JoinCore`s
-//!    are pre-seeded with the migrated `(window, pair, key bucket)`
+//!    are pre-seeded with the migrated `(window, pair, sub-key)`
 //!    groups re-hashed under the new layout, and finally resumes every
 //!    source with the new routing tables and senders.
 //!
@@ -34,8 +34,8 @@
 //! (FIFO exhaustiveness). *Post/post* matches are produced by the new
 //! shards. *Pre/post* matches cross the epoch: the pre tuple's buffered
 //! state migrates — without re-probing, so nothing is double-counted —
-//! to exactly the shard that the post tuple's `(window, pair, key
-//! bucket)` routes to, **before** any post tuple can be processed
+//! to exactly the shard that the post tuple's `(window, pair,
+//! sub-key)` routes to, **before** any post tuple can be processed
 //! (sources are parked until the handoff completes). So no match is
 //! lost and none is duplicated, at any epoch position — window-aligned
 //! or mid-window. The simulator's
@@ -52,13 +52,13 @@ use std::time::{Duration, Instant};
 use nova_runtime::{Dataflow, OutputRecord, PlanSwitch, WindowGroup};
 use nova_topology::{NodeId, Topology};
 
-use crate::channel::{bounded, JoinMsg, Sender, SinkMsg};
+use crate::channel::{bounded, JoinMsg, Sender, SinkMsg, CHANNEL_CAPACITY};
 use crate::join::JoinCore;
 use crate::metrics::{
     Counters, ExecResult, MetricsRegistry, MetricsSnapshot, NodePacer, ShardInstr, ShardTelemetry,
     SinkTelemetry, SourceTelemetry, SubscribeError, TraceKind,
 };
-use crate::sharded::{key_bucket_of, shard_of};
+use crate::sharded::route;
 use crate::worker::{self, CompiledInstance, CompiledSource, VirtualClock};
 use crate::{ExecConfig, ExecConfigError};
 
@@ -86,8 +86,6 @@ pub(crate) enum SourceCtrl {
         /// Shards per instance in the new generation (the controller
         /// may scale this across an epoch).
         shards: usize,
-        /// Key buckets of the new generation's shard routing.
-        key_buckets: usize,
         /// Send-side instruments of the new generation, same flat
         /// layout as `txs` (empty with telemetry disabled).
         tx_instr: Vec<Arc<ShardInstr>>,
@@ -166,13 +164,11 @@ pub enum ReconfigError {
         /// Sources in the post plan.
         post: usize,
     },
-    /// A shard-scale override ([`ShardScale`]) with zero shards or
-    /// zero key buckets — there is no zero-shard layout.
+    /// A shard-count override ([`ExecHandle::apply_scaled`]) of zero —
+    /// there is no zero-shard layout.
     InvalidScale {
         /// Requested shards per instance.
         shards: usize,
-        /// Requested key buckets.
-        key_buckets: usize,
     },
     /// A previous epoch is still armed: its quiesce timed out, so the
     /// sources may still be heading toward (or parked at) that barrier
@@ -216,13 +212,9 @@ impl std::fmt::Display for ReconfigError {
                 "add_source needs a post plan that appends new sources, but it has \
                  {post} and the running plan already has {running}"
             ),
-            ReconfigError::InvalidScale {
-                shards,
-                key_buckets,
-            } => write!(
+            ReconfigError::InvalidScale { shards } => write!(
                 f,
-                "shard scale {shards}x{key_buckets} rejected: shards and key_buckets \
-                 must both be >= 1"
+                "shard scale {shards} rejected: shards per instance must be >= 1"
             ),
             ReconfigError::EpochInFlight { epoch } => write!(
                 f,
@@ -248,22 +240,6 @@ impl std::fmt::Display for ReconfigError {
 
 impl std::error::Error for ReconfigError {}
 
-/// A shard-layout override for one reconfiguration epoch — the
-/// executor-side elasticity knob. [`ExecHandle::apply_scaled`] re-hashes
-/// the migrated window state under the new `(shards, key_buckets)`
-/// layout and resumes the sources with the new routing arithmetic, so
-/// a running placement can grow or shrink its worker parallelism
-/// without a restart. Any scale preserves match/delivery counts on
-/// drop-free runs: shard routing decides *where* a tuple is matched,
-/// never *what* matches (see `sharded::shard_of`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardScale {
-    /// Shards per join instance in the new generation (>= 1).
-    pub shards: usize,
-    /// Key buckets of the new generation's shard routing (>= 1).
-    pub key_buckets: usize,
-}
-
 /// Thread-per-shard fleet: one OS thread per `JoinCore`, fed by a
 /// blocking MPSC channel. It only knows how to wire channels and spawn
 /// threads; everything protocol-level lives in [`Plane`].
@@ -283,7 +259,7 @@ impl ThreadFleet {
     fn spawn_generation(&mut self, cores: Vec<JoinCore>) -> Vec<Sender<JoinMsg>> {
         let mut txs = Vec::with_capacity(cores.len());
         for (flat, core) in cores.into_iter().enumerate() {
-            let (tx, rx) = bounded::<JoinMsg>(self.cfg.channel_capacity);
+            let (tx, rx) = bounded::<JoinMsg>(CHANNEL_CAPACITY);
             txs.push(tx);
             let cfg = self.cfg;
             let pacers = Arc::clone(&self.pacers);
@@ -336,9 +312,6 @@ pub(crate) struct Plane {
     pacers: Arc<Vec<NodePacer>>,
     counters: Arc<Counters>,
     shards: usize,
-    /// Current key-bucket count of the shard routing (starts at
-    /// `cfg.key_buckets`, changed by scale overrides).
-    key_buckets: usize,
     /// True while an epoch is armed whose quiesce never completed
     /// (timeout): arming another on top would corrupt the barrier
     /// protocol, so reconfigurations are refused until the run drains.
@@ -394,7 +367,7 @@ impl Plane {
     /// sources are resumed on the new plan.
     ///
     /// `scale` optionally re-hashes the new generation under a
-    /// different `(shards, key_buckets)` layout; `admit` switches the
+    /// different shard count; `admit` switches the
     /// source-count contract from "preserve" to "append" — new
     /// sources are spawned parked and join the post-epoch grid at
     /// [`nova_runtime::admission_time`].
@@ -402,7 +375,7 @@ impl Plane {
         &mut self,
         switch: &PlanSwitch,
         dist: &mut dyn FnMut(NodeId, NodeId) -> f64,
-        scale: Option<ShardScale>,
+        scale: Option<usize>,
         admit: bool,
     ) -> Result<EpochStats, ReconfigError> {
         let t0 = Instant::now();
@@ -424,13 +397,8 @@ impl Plane {
                 post: n_post,
             });
         }
-        if let Some(s) = scale {
-            if s.shards == 0 || s.key_buckets == 0 {
-                return Err(ReconfigError::InvalidScale {
-                    shards: s.shards,
-                    key_buckets: s.key_buckets,
-                });
-            }
+        if scale == Some(0) {
+            return Err(ReconfigError::InvalidScale { shards: 0 });
         }
         if switch.succ.len() != self.instances.len() {
             return Err(ReconfigError::SuccessorLengthMismatch {
@@ -559,8 +527,7 @@ impl Plane {
         // The scale override takes effect with the new generation: the
         // migrated state is re-hashed below under the *new* layout and
         // the sources resume with the new routing arithmetic.
-        let new_shards = scale.map(|s| s.shards).unwrap_or(self.shards);
-        let new_buckets = scale.map(|s| s.key_buckets).unwrap_or(self.key_buckets);
+        let new_shards = scale.unwrap_or(self.shards);
 
         // 4c. Re-base the sink on the new generation. Ordering: every
         // old-generation batch was enqueued before its shard's
@@ -586,8 +553,7 @@ impl Plane {
             for g in groups {
                 migrated_groups += 1;
                 migrated_tuples += g.left.len() + g.right.len();
-                let bucket = key_bucket_of(g.key, new_buckets);
-                let shard = shard_of(g.window, pair, bucket, new_shards);
+                let shard = route(g.window, pair, g.key, self.cfg.key_space, new_shards);
                 per_flat[new_inst as usize * new_shards + shard].push(g);
             }
         }
@@ -641,7 +607,6 @@ impl Plane {
                         txs: new_txs.clone(),
                         n_sources: n_post,
                         shards: new_shards,
-                        key_buckets: new_buckets,
                         tx_instr: tx_instr.clone(),
                     })
                     .is_ok();
@@ -657,7 +622,6 @@ impl Plane {
         self.join_txs = new_txs;
         self.instances = post.instances;
         self.shards = new_shards;
-        self.key_buckets = new_buckets;
         self.n_sources = n_post;
         self.armed = false;
 
@@ -772,7 +736,6 @@ fn spawn_sources(
     counters: &Arc<Counters>,
     join_txs: &[Sender<JoinMsg>],
     shards: usize,
-    key_buckets: usize,
     registry: &Option<Arc<MetricsRegistry>>,
     tx_instr: &[Arc<ShardInstr>],
 ) -> (Vec<mpsc::Sender<SourceCtrl>>, Vec<JoinHandle<()>>) {
@@ -795,16 +758,7 @@ fn spawn_sources(
         };
         handles.push(std::thread::spawn(move || {
             worker::run_source(
-                src,
-                &cfg,
-                clock,
-                &pacers,
-                &counters,
-                txs,
-                shards,
-                key_buckets,
-                &ctrl_rx,
-                tele,
+                src, &cfg, clock, &pacers, &counters, txs, shards, &ctrl_rx, tele,
             )
         }));
     }
@@ -839,7 +793,7 @@ fn launch_threads(
         .telemetry
         .then(|| MetricsRegistry::new(clock, Arc::clone(&counters), Arc::clone(&pacers)));
     let (ctrl_up_tx, ctrl_up_rx) = mpsc::channel::<Quiesced>();
-    let (sink_tx, sink_rx) = bounded::<SinkMsg>(cfg.channel_capacity);
+    let (sink_tx, sink_rx) = bounded::<SinkMsg>(CHANNEL_CAPACITY);
     let mut fleet = ThreadFleet {
         cfg: *cfg,
         pacers: Arc::clone(&pacers),
@@ -871,7 +825,6 @@ fn launch_threads(
     };
 
     let n_sources = plan.sources.len();
-    let key_buckets = cfg.key_buckets;
     let (src_ctrl, src_handles) = spawn_sources(
         plan.sources,
         cfg,
@@ -880,7 +833,6 @@ fn launch_threads(
         &counters,
         &join_txs,
         shards,
-        key_buckets,
         &registry,
         &tx_instr,
     );
@@ -893,7 +845,6 @@ fn launch_threads(
         pacers,
         counters,
         shards,
-        key_buckets,
         armed: false,
         epoch: 0,
         instances: plan.instances,
@@ -943,22 +894,24 @@ impl ExecHandle {
         self.plane.reconfigure(switch, &mut dist, None, false)
     }
 
-    /// [`ExecHandle::apply`] with a shard-layout override: the new
-    /// generation is spawned with `scale.shards` workers per instance
-    /// and routes on `scale.key_buckets` buckets, the migrated window
-    /// state re-hashed under that layout — live scale-up/-down without
-    /// a restart. The switch may otherwise be an identity (same
-    /// dataflow, identity succession): the epoch protocol is the same
-    /// either way, and counts are preserved on drop-free runs because
-    /// shard routing never decides *what* matches.
+    /// [`ExecHandle::apply`] with a shard-count override — the
+    /// executor-side elasticity knob: the new generation is spawned
+    /// with `shards` workers per instance (>= 1, else
+    /// [`ReconfigError::InvalidScale`]), the migrated window state
+    /// re-hashed under that count and the sources resumed on it — live
+    /// scale-up/-down without a restart. The switch may otherwise be an
+    /// identity (same dataflow, identity succession): the epoch
+    /// protocol is the same either way, and counts are preserved on
+    /// drop-free runs because shard routing decides *where* a tuple is
+    /// matched, never *what* matches (see [`crate::sharded`]).
     pub fn apply_scaled(
         &mut self,
         switch: &PlanSwitch,
         mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        scale: ShardScale,
+        shards: usize,
     ) -> Result<EpochStats, ReconfigError> {
         self.plane
-            .reconfigure(switch, &mut dist, Some(scale), false)
+            .reconfigure(switch, &mut dist, Some(shards), false)
     }
 
     /// Admit new source streams without a restart. The post plan must
@@ -988,11 +941,6 @@ impl ExecHandle {
     /// Shards per join instance in the current generation.
     pub fn shards(&self) -> usize {
         self.plane.shards
-    }
-
-    /// Key buckets of the current generation's shard routing.
-    pub fn key_buckets(&self) -> usize {
-        self.plane.key_buckets
     }
 
     /// Current virtual time of the run (ms).
@@ -1206,6 +1154,13 @@ mod tests {
             handle.apply(&sw, flat_dist),
             Err(ReconfigError::SuccessorOutOfRange { .. })
         ));
+
+        // A zero-shard scale override is refused.
+        let sw = PlanSwitch::between(1000.0, &q, &pre, &pre, 1.0);
+        assert_eq!(
+            handle.apply_scaled(&sw, flat_dist, 0).unwrap_err(),
+            ReconfigError::InvalidScale { shards: 0 }
+        );
 
         // The run is untouched by refused switches.
         let res = handle.join();

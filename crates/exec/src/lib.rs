@@ -34,11 +34,12 @@
 //! There is one engine. [`ExecConfig::shards`] is the only thing that
 //! selects parallelism: `1` is thread-per-operator, `N` fans each join
 //! instance out to `N` worker threads, hash-partitioned by `(window,
-//! pair, key bucket)` so shards share no state and counts stay
-//! identical (see [`sharded`]). With multiple
-//! [`ExecConfig::key_buckets`] even a single hot pair with one giant
-//! window splits by join sub-key across shards — the executor scales
-//! with cores, not with the number of pairs. Every shard runs the same
+//! pair, sub-key)` so shards share no state and counts stay identical
+//! (see [`sharded`] — one routing rule, derived from
+//! [`ExecConfig::key_space`], not a knob). On a keyed workload even a
+//! single hot pair with one giant window splits by join sub-key across
+//! shards — the executor scales with cores, not with the number of
+//! pairs. Every shard runs the same
 //! join state machine (`join::JoinCore`) behind the same bounded
 //! channels ([`channel`]); DESIGN.md §5 records why the earlier M:N
 //! cooperative scheduler was removed.
@@ -106,7 +107,7 @@ pub use autoscale::{
     AutoscaleConfig, AutoscaleReport, Autoscaler, Decision, DecisionRecord, DistFn, Evaluation,
     Policy, RecordedSwitch, Relocator,
 };
-pub use control::{launch, EpochStats, ExecHandle, ReconfigError, ShardScale};
+pub use control::{launch, EpochStats, ExecHandle, ReconfigError};
 pub use metrics::{
     Counters, ExecResult, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, NodePacer,
     NodeSnapshot, ShardSnapshot, SourceSnapshot, SubscribeError, TraceEvent, TraceKind,
@@ -117,13 +118,15 @@ pub use worker::VirtualClock;
 
 /// Executor parameters. The virtual-domain fields mirror
 /// [`SimConfig`] so a simulator experiment can be replayed on the
-/// executor unchanged (see [`ExecConfig::from_sim`]).
+/// executor unchanged (see [`ExecConfig::from_sim`]); every other field
+/// is one that callers of this workspace set to different values
+/// (DESIGN.md §5 records the fields that were not).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Virtual stream duration in ms: sources emit `rate × duration`
     /// tuples and the run drains in-flight work afterwards.
     pub duration_ms: f64,
-    /// Tumbling window length in ms.
+    /// Tumbling window length in ms. Must be positive and finite.
     pub window_ms: f64,
     /// Join selectivity (deterministic per tuple pair, shared with the
     /// simulator).
@@ -135,7 +138,7 @@ pub struct ExecConfig {
     /// Bounded per-node queue cap in ms of backlog (load shedding).
     pub max_queue_ms: f64,
     /// Virtual ms per wall ms: 1.0 = real time, 4.0 runs a 2 s virtual
-    /// experiment in 0.5 s of wall time.
+    /// experiment in 0.5 s of wall time. Must be positive and finite.
     pub time_scale: f64,
     /// Tuples per channel message: sources accumulate a
     /// [`channel::TupleBatch`] per downstream shard and flush it at
@@ -147,13 +150,9 @@ pub struct ExecConfig {
     /// suite pins emitted/matched/delivered identical across batch
     /// sizes and to the simulator). Must be ≥ 1.
     pub batch_size: usize,
-    /// Channel depth in messages (backpressure window).
-    pub channel_capacity: usize,
-    /// Safety valve on tuples per source.
-    pub max_tuples_per_source: u64,
     /// Join shards per deployed instance. 1 = classic thread-per-
     /// operator; >1 hash-partitions each instance's tuples by
-    /// `(window, pair, key bucket)` across that many dedicated worker
+    /// `(window, pair, sub-key)` across that many dedicated worker
     /// threads (see [`sharded`]). Count results are identical either
     /// way on drop-free runs.
     pub shards: usize,
@@ -161,17 +160,10 @@ pub struct ExecConfig {
     /// property, mirrors [`SimConfig::key_space`]). 1 = unkeyed
     /// cross-product windows; >1 draws each tuple's sub-key from
     /// `[0, key_space)` via [`nova_runtime::subkey_of`] and restricts
-    /// matching to equal sub-keys.
+    /// matching to equal sub-keys. With `shards > 1` it is also what
+    /// spreads one pair's window across shards: co-keyed tuples
+    /// co-locate, distinct sub-keys hash apart.
     pub key_space: u32,
-    /// Key buckets for shard routing (runtime knob). 1 reproduces the
-    /// unkeyed `(window, pair)` shard routing exactly;
-    /// larger values additionally hash-split each join instance's
-    /// window state by sub-key into this many buckets, so even a single
-    /// hot pair with one giant window spreads across shards. Any value
-    /// preserves
-    /// match/delivery counts: matching requires *equal* sub-keys and
-    /// co-keyed tuples always co-locate (see [`sharded::key_bucket_of`]).
-    pub key_buckets: usize,
     /// Wall-clock grace (ms) [`ExecHandle::apply`] grants the old
     /// shard generation to quiesce before giving up with
     /// [`control::ReconfigError::QuiesceTimeout`]. Quiescing is
@@ -211,11 +203,8 @@ impl Default for ExecConfig {
             max_queue_ms: sim.max_queue_ms,
             time_scale: 1.0,
             batch_size: 256,
-            channel_capacity: 64,
-            max_tuples_per_source: u64::MAX,
             shards: 1,
             key_space: 1,
-            key_buckets: 1,
             quiesce_grace_ms: 60_000.0,
             pin_workers: false,
             telemetry: true,
@@ -245,13 +234,19 @@ impl ExecConfig {
     /// router calling [`shard_of`]-style arithmetic directly, divide by
     /// zero). [`execute`] and [`launch`] run this at entry so a typo'd
     /// `--shards 0` fails loudly at the boundary instead of producing a
-    /// quietly different layout.
+    /// quietly different layout — and a zero, negative or NaN
+    /// `window_ms` / `time_scale` is refused instead of folding every
+    /// tuple into one window or running on a substituted clock.
     pub fn validate(&self) -> Result<(), ExecConfigError> {
         if self.shards == 0 {
             return Err(ExecConfigError::ZeroShards);
         }
-        if self.key_buckets == 0 {
-            return Err(ExecConfigError::ZeroKeyBuckets);
+        let positive_finite = |v: f64| v > 0.0 && v.is_finite();
+        if !positive_finite(self.window_ms) {
+            return Err(ExecConfigError::NonPositiveWindow);
+        }
+        if !positive_finite(self.time_scale) {
+            return Err(ExecConfigError::NonPositiveTimeScale);
         }
         if self.key_space == 0 {
             return Err(ExecConfigError::ZeroKeySpace);
@@ -259,7 +254,7 @@ impl ExecConfig {
         if self.batch_size == 0 {
             return Err(ExecConfigError::ZeroBatchSize);
         }
-        if !(self.quiesce_grace_ms > 0.0 && self.quiesce_grace_ms.is_finite()) {
+        if !positive_finite(self.quiesce_grace_ms) {
             return Err(ExecConfigError::NonPositiveQuiesceGrace);
         }
         Ok(())
@@ -272,9 +267,14 @@ pub enum ExecConfigError {
     /// `shards == 0`: there is no zero-shard layout; the historical
     /// behavior silently clamped to 1.
     ZeroShards,
-    /// `key_buckets == 0`: bucket routing needs at least one bucket
-    /// (1 = the unkeyed `(window, pair)` layout).
-    ZeroKeyBuckets,
+    /// `window_ms` is zero, negative, NaN or infinite: window
+    /// assignment divides event time by it, so every tuple would fold
+    /// into window 0 (or `u64::MAX`).
+    NonPositiveWindow,
+    /// `time_scale` is zero, negative, NaN or infinite: the virtual
+    /// clock multiplies wall time by it; the historical behavior
+    /// silently substituted 1.0.
+    NonPositiveTimeScale,
     /// `key_space == 0`: the sub-key space is a workload property with
     /// minimum cardinality 1 (= unkeyed).
     ZeroKeySpace,
@@ -296,9 +296,13 @@ impl std::fmt::Display for ExecConfigError {
                     "ExecConfig::shards must be >= 1 (1 = thread-per-operator)"
                 )
             }
-            ExecConfigError::ZeroKeyBuckets => write!(
+            ExecConfigError::NonPositiveWindow => write!(
                 f,
-                "ExecConfig::key_buckets must be >= 1 (1 = unkeyed (window, pair) routing)"
+                "ExecConfig::window_ms must be a positive finite window length"
+            ),
+            ExecConfigError::NonPositiveTimeScale => write!(
+                f,
+                "ExecConfig::time_scale must be a positive finite virtual-per-wall ratio"
             ),
             ExecConfigError::ZeroKeySpace => write!(
                 f,
@@ -324,9 +328,10 @@ impl std::error::Error for ExecConfigError {}
 /// [`ExecHandle::join`].
 ///
 /// The configuration is validated at entry: zero-valued knobs
-/// (`shards`, `key_buckets`, `key_space`, `batch_size`) return a
-/// descriptive [`ExecConfigError`] instead of being clamped silently —
-/// or worse, panicking deep inside a worker.
+/// (`shards`, `key_space`, `batch_size`) and non-positive or non-finite
+/// `window_ms` / `time_scale` / `quiesce_grace_ms` return a descriptive
+/// [`ExecConfigError`] instead of being clamped silently — or worse,
+/// panicking deep inside a worker.
 pub fn execute(
     topology: &Topology,
     dist: impl FnMut(NodeId, NodeId) -> f64,
@@ -452,28 +457,33 @@ mod tests {
 
     #[test]
     fn zero_knob_configs_error_instead_of_panicking_or_hanging() {
-        // Regression (bug sweep): shards/key_buckets/key_space of 0
-        // used to be clamped silently inside the executor — and a
-        // hand-rolled caller doing `x % shards`
-        // arithmetic would panic. Each zero knob must now fail loudly
-        // at the `execute` boundary with a descriptive error.
+        // Regression (bug sweep): shards/key_space of 0 used to be
+        // clamped silently inside the executor — and a hand-rolled
+        // caller doing `x % shards` arithmetic would panic; a
+        // non-positive or NaN time_scale was swapped for 1.0 by the
+        // clock, and such a window_ms folded every tuple into one
+        // window in release builds. Each must now fail loudly at the
+        // `execute` boundary with a descriptive error.
         let (t, q) = world(1000.0, 1000.0, 1000.0);
         let plan = q.resolve();
         let p = sink_based(&q, &plan);
         let df = Dataflow::from_baseline(&q, &p);
         let base = fast_cfg(100.0);
+        let window = |window_ms| ExecConfig { window_ms, ..base };
+        let scale = |time_scale| ExecConfig { time_scale, ..base };
         for (cfg, want) in [
             (
                 ExecConfig { shards: 0, ..base },
                 ExecConfigError::ZeroShards,
             ),
-            (
-                ExecConfig {
-                    key_buckets: 0,
-                    ..base
-                },
-                ExecConfigError::ZeroKeyBuckets,
-            ),
+            (window(0.0), ExecConfigError::NonPositiveWindow),
+            (window(-100.0), ExecConfigError::NonPositiveWindow),
+            (window(f64::NAN), ExecConfigError::NonPositiveWindow),
+            (window(f64::INFINITY), ExecConfigError::NonPositiveWindow),
+            (scale(0.0), ExecConfigError::NonPositiveTimeScale),
+            (scale(-8.0), ExecConfigError::NonPositiveTimeScale),
+            (scale(f64::NAN), ExecConfigError::NonPositiveTimeScale),
+            (scale(f64::INFINITY), ExecConfigError::NonPositiveTimeScale),
             (
                 ExecConfig {
                     key_space: 0,
@@ -493,7 +503,11 @@ mod tests {
             assert_eq!(execute(&t, flat_dist, &df, &cfg).unwrap_err(), want);
             assert!(launch(&t, flat_dist, &df, &cfg).is_err());
             // The message names the knob — "descriptive error".
-            assert!(format!("{want}").contains("must be >= 1"), "{want}");
+            let msg = want.to_string();
+            assert!(
+                msg.contains("ExecConfig::") && msg.contains("must be"),
+                "{msg}"
+            );
         }
     }
 

@@ -2,31 +2,34 @@
 //!
 //! The executor fans every join instance out to
 //! [`crate::ExecConfig::shards`] worker threads, each owning a disjoint
-//! slice of the instance's window state. Tuples are hash-partitioned at the
-//! source by `(window, pair, key bucket)`: any two tuples that could
-//! ever match share all three coordinates — matching is per instance
-//! (i.e. per pair), per tumbling window, and (for keyed workloads,
-//! `key_space > 1`) requires *equal* join sub-keys, which always map to
-//! the same bucket under [`key_bucket_of`]. So every potential match
-//! lands on exactly one shard and the union of per-shard match sets
-//! equals the unsharded match set, at any shard *and* any bucket count.
-//! Shards share no buffers, take no locks, and probe each `(window,
-//! key)` group privately.
+//! slice of the instance's window state. There is one routing rule,
+//! written once (`route`, below) and called by the source loop and by
+//! the state re-hash of a live reconfiguration:
 //!
-//! Parallelism comes from two independent axes:
+//! ```text
+//! shard = shard_of(window, pair, key_bucket_of(subkey, key_space), shards)
+//! ```
 //!
-//! * **windows × pairs** (PR 2's axis, always on): different windows
-//!   and pairs hash to different shards — enough when the workload has
-//!   many pairs or small windows;
-//! * **key buckets** ([`crate::ExecConfig::key_buckets`] > 1): a *single hot
-//!   pair with one giant window* — the skew case where the first axis
-//!   degenerates to one shard — is hash-split by join sub-key, so its
-//!   window state and probe work spread across all shards and the
-//!   executor scales with cores even on one pair.
+//! Any two tuples that could ever match share all three coordinates —
+//! matching is per instance (i.e. per pair), per tumbling window, and
+//! (for keyed workloads, `key_space > 1`) requires *equal* join
+//! sub-keys, which always map to the same bucket under
+//! [`key_bucket_of`]. So every potential match lands on exactly one
+//! shard and the union of per-shard match sets equals the unsharded
+//! match set, at any shard count. Shards share no buffers, take no
+//! locks, and probe each `(window, key)` group privately.
 //!
-//! `key_buckets = 1` keeps every sub-key in bucket 0 and reproduces the
-//! PR 2 `(window, pair)` routing bit-for-bit (property-tested in
-//! `crates/exec/tests/shard_props.rs`).
+//! The rule is a function of what the executor already knows, not a
+//! knob. An unkeyed workload (`key_space = 1`) carries sub-key 0 on
+//! every tuple, `key_bucket_of(0, 1) == 0` contributes nothing to the
+//! mix, and the rule *is* PR 2's `(window, pair)` routing bit-for-bit
+//! (property-tested in `crates/exec/tests/shard_props.rs`): different
+//! windows and pairs hash to different shards. A keyed workload spreads
+//! by sub-key on top, at the grain of the key space itself — so a
+//! *single hot pair with one giant window*, where `(window, pair)`
+//! alone degenerates to one shard, splits its window state and probe
+//! work across all shards. DESIGN.md §5 records the bucket-count option
+//! this replaced and the rows that showed it selected nothing.
 //!
 //! ## Determinism
 //!
@@ -63,11 +66,10 @@ use nova_core::PairId;
 ///
 /// A 64-bit finalizer mix over the window id, pair id and key bucket;
 /// pure, so the routing decision is identical across sources and
-/// runs. `bucket = 0` — every tuple of an unkeyed workload, and every
-/// tuple when `key_buckets = 1` — contributes nothing to the mix,
-/// so the function then equals PR 2's `(window, pair)` routing exactly:
-/// existing scaling numbers and shard layouts are reproduced
-/// bit-for-bit.
+/// runs. `bucket = 0` — every tuple of an unkeyed workload —
+/// contributes nothing to the mix, so the function then equals PR 2's
+/// `(window, pair)` routing exactly: existing scaling numbers and shard
+/// layouts are reproduced bit-for-bit.
 #[inline]
 pub fn shard_of(window: u64, pair: PairId, bucket: u32, shards: usize) -> usize {
     if shards <= 1 {
@@ -100,6 +102,30 @@ pub fn key_bucket_of(subkey: u32, key_buckets: usize) -> u32 {
     x = x.wrapping_mul(0xD6E8_FEB8_6659_FD93);
     x ^= x >> 29;
     (x % key_buckets as u64) as u32
+}
+
+/// The executor's one routing rule: the shard of a tuple (or of a
+/// migrated `(window, key)` group) with join sub-key `subkey` drawn
+/// from `[0, key_space)`. One bucket per possible sub-key, so co-keyed
+/// tuples co-locate and distinct sub-keys spread as far as the key
+/// space allows; `key_space = 1` is `(window, pair)` routing.
+#[inline]
+pub(crate) fn route(
+    window: u64,
+    pair: PairId,
+    subkey: u32,
+    key_space: u32,
+    shards: usize,
+) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
+    shard_of(
+        window,
+        pair,
+        key_bucket_of(subkey, key_space as usize),
+        shards,
+    )
 }
 
 #[cfg(test)]
@@ -163,19 +189,22 @@ mod tests {
     }
 
     #[test]
-    fn key_buckets_spread_a_single_hot_window_across_shards() {
+    fn sub_keys_spread_a_single_hot_window_across_shards() {
         // The skew failure mode `(window, pair)` routing cannot escape:
-        // one pair, one window. Buckets must reach every shard.
+        // one pair, one window. A keyed workload must reach every shard.
         let shards = 4;
         let mut seen = [false; 4];
         for subkey in 0..64u32 {
-            let bucket = key_bucket_of(subkey, 16);
-            seen[shard_of(0, PairId(0), bucket, shards)] = true;
+            seen[route(0, PairId(0), subkey, 64, shards)] = true;
         }
-        assert!(seen.iter().all(|&s| s), "buckets must reach every shard");
-        // And with a single bucket everything stays on one shard.
-        let only = shard_of(0, PairId(0), key_bucket_of(17, 1), shards);
-        assert_eq!(only, shard_of(0, PairId(0), 0, shards));
+        assert!(seen.iter().all(|&s| s), "sub-keys must reach every shard");
+        // An unkeyed workload is `(window, pair)` routing, and one shard
+        // is shard 0 whatever the key space.
+        assert_eq!(
+            route(0, PairId(0), 0, 1, shards),
+            shard_of(0, PairId(0), 0, shards)
+        );
+        assert_eq!(route(9, PairId(3), 17, 64, 1), 0);
     }
 
     #[test]
@@ -210,12 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn keyed_sharding_counts_match_threaded_at_every_bucket_count() {
-        // Keyed workload (sub-keys drawn from [0, 16)): key-bucket
+    fn keyed_sharding_counts_match_threaded_at_every_shard_count() {
+        // Keyed workload (sub-keys drawn from [0, 16)): sub-key
         // routing must never change what joins — match and delivery
-        // counts are pinned to the threaded baseline at every
-        // (shards, key_buckets) combination, because matching requires
-        // equal sub-keys and co-keyed tuples always co-locate.
+        // counts are pinned to the threaded baseline at every shard
+        // count, because matching requires equal sub-keys and co-keyed
+        // tuples always co-locate.
         let (t, df) = world();
         let base = ExecConfig {
             duration_ms: 2500.0,
@@ -230,20 +259,14 @@ mod tests {
         let threaded = execute(&t, flat_dist, &df, &base).expect("valid config");
         assert_eq!(threaded.dropped, 0, "scenario must stay uncongested");
         assert!(threaded.delivered > 0, "keyed workload must match");
-        for shards in [2usize, 4] {
-            for key_buckets in [1usize, 2, 8, 64] {
-                let cfg = ExecConfig {
-                    shards,
-                    key_buckets,
-                    ..base
-                };
-                let sharded = execute(&t, flat_dist, &df, &cfg).expect("valid config");
-                let tag = format!("shards={shards} buckets={key_buckets}");
-                assert_eq!(sharded.dropped, 0, "{tag}");
-                assert_eq!(sharded.emitted, threaded.emitted, "{tag}");
-                assert_eq!(sharded.matched, threaded.matched, "{tag}");
-                assert_eq!(sharded.delivered, threaded.delivered, "{tag}");
-            }
+        for shards in [2usize, 3, 4, 8] {
+            let cfg = ExecConfig { shards, ..base };
+            let sharded = execute(&t, flat_dist, &df, &cfg).expect("valid config");
+            let tag = format!("shards={shards}");
+            assert_eq!(sharded.dropped, 0, "{tag}");
+            assert_eq!(sharded.emitted, threaded.emitted, "{tag}");
+            assert_eq!(sharded.matched, threaded.matched, "{tag}");
+            assert_eq!(sharded.delivered, threaded.delivered, "{tag}");
         }
     }
 

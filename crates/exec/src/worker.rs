@@ -21,7 +21,7 @@ use crate::control::SourceCtrl;
 use crate::metrics::{
     count_drop, Counters, LatencyBatch, NodePacer, SinkTelemetry, SourceTelemetry,
 };
-use crate::sharded::{key_bucket_of, shard_of};
+use crate::sharded::route;
 use crate::ExecConfig;
 
 /// Wall-to-virtual time mapping shared by every worker.
@@ -37,11 +37,17 @@ pub struct VirtualClock {
 }
 
 impl VirtualClock {
-    /// Start the clock now.
+    /// Start the clock now. `scale` must be positive and finite
+    /// ([`ExecConfig::validate`] rejects anything else before a run
+    /// starts a clock); no value is substituted for a bad one.
     pub fn start(scale: f64) -> Self {
+        assert!(
+            scale > 0.0 && scale.is_finite(),
+            "VirtualClock scale must be positive and finite, got {scale}"
+        );
         VirtualClock {
             start: Instant::now(),
-            scale: if scale > 0.0 { scale } else { 1.0 },
+            scale,
         }
     }
 
@@ -277,10 +283,11 @@ fn flush_batch(
 ///
 /// `txs` holds `shards` consecutive channels per join instance (flat
 /// index `instance × shards + shard`); each tuple is routed to the
-/// shard owning its `(window, pair, key bucket)` slice so shards share
-/// no window state — with `key_buckets > 1` even one pair's single
-/// window splits by join sub-key. `shards = 1` is the classic
-/// one-channel-per-instance layout.
+/// shard owning its `(window, pair, sub-key)` slice
+/// ([`crate::sharded`]'s one routing rule) so shards share no window
+/// state — on a keyed workload even one pair's single window splits by
+/// join sub-key. `shards = 1` is the classic one-channel-per-instance
+/// layout.
 ///
 /// Sends block while a shard's buffer is full: sources are OS threads
 /// and real backpressure is the point.
@@ -307,7 +314,6 @@ pub(crate) fn run_source(
     counters: &Counters,
     mut txs: Vec<Sender<JoinMsg>>,
     mut shards: usize,
-    mut key_buckets: usize,
     ctrl: &std::sync::mpsc::Receiver<SourceCtrl>,
     mut tele: SourceTelemetry,
 ) {
@@ -328,7 +334,7 @@ pub(crate) fn run_source(
         // queueing latency by up to this slack.
         let slack_ms = (src.interval_ms * cfg.batch_size as f64 * 0.25).clamp(0.5, 4.0);
 
-        'emit: while t <= cfg.duration_ms && seq < cfg.max_tuples_per_source {
+        'emit: while t <= cfg.duration_ms {
             if pending_epoch.is_none() {
                 if let Ok(SourceCtrl::Reconfigure { epoch, epoch_ms }) = ctrl.try_recv() {
                     pending_epoch = Some((epoch, epoch_ms));
@@ -364,12 +370,11 @@ pub(crate) fn run_source(
             };
             let window = WindowBuffers::window_of(t, cfg.window_ms);
             // Same pure sub-key the simulator stamps on this
-            // (stream, seq): both engines key and bucket identically.
+            // (stream, seq): both engines key identically.
             let subkey = subkey_of(cfg.seed, src.index, seq, cfg.key_space);
-            let bucket = key_bucket_of(subkey, key_buckets);
             for feed in &src.feeds {
                 let partition = pick_partition(&feed.partition_rates, &mut rng);
-                let shard = shard_of(window, feed.pair, bucket, shards);
+                let shard = route(window, feed.pair, subkey, cfg.key_space, shards);
                 let tuple = Tuple {
                     pair: feed.pair,
                     side: src.side,
@@ -440,12 +445,11 @@ pub(crate) fn run_source(
                 txs: new_txs,
                 n_sources,
                 shards: new_shards,
-                key_buckets: new_buckets,
                 tx_instr,
             }) => {
                 // Swap in the new generation's pre-resolved send-side
                 // instruments along with its channels and shard layout
-                // (the controller may have scaled shards/key-buckets).
+                // (the controller may have scaled the shard count).
                 tele.tx_instr = tx_instr;
                 // Post-epoch grid: continue the old grid on an
                 // unchanged rate, restart staggered from the epoch on a
@@ -462,7 +466,6 @@ pub(crate) fn run_source(
                 src = new_src;
                 txs = new_txs;
                 shards = new_shards;
-                key_buckets = new_buckets;
             }
             // The handle is gone mid-epoch: the old shards already
             // quiesced, so there is nobody left to feed — wind down
@@ -500,7 +503,6 @@ pub(crate) fn run_admitted_source(
             txs,
             n_sources: _,
             shards,
-            key_buckets,
             tx_instr,
         }) => {
             let tele = match &registry {
@@ -511,18 +513,7 @@ pub(crate) fn run_admitted_source(
                 ),
                 None => SourceTelemetry::disabled(),
             };
-            run_source(
-                src,
-                cfg,
-                clock,
-                pacers,
-                counters,
-                txs,
-                shards,
-                key_buckets,
-                ctrl,
-                tele,
-            )
+            run_source(src, cfg, clock, pacers, counters, txs, shards, ctrl, tele)
         }
         Ok(SourceCtrl::Reconfigure { .. }) | Err(_) => {}
     }

@@ -3,10 +3,10 @@
 //! The strongest statement the epoch-barrier/state-handoff protocol
 //! makes is *count transparency*: a reconfiguration that changes only
 //! **where** work runs — here, a full instance permutation, which
-//! migrates every live `(window, pair, key_bucket)` group to a
+//! migrates every live `(window, pair, sub-key)` group to a
 //! different shard worker — must leave `emitted`/`matched`/`delivered`
 //! exactly equal to a run that never reconfigured. The property is
-//! sampled across (shards × key-buckets × batch-size) and across epoch
+//! sampled across (shards × batch-size) and across epoch
 //! positions (deliberately including mid-window — and therefore
 //! mid-batch — epochs, where pre/post tuples of the straddling window
 //! must still match each other through the handoff), on a keyed,
@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 
 use nova_core::baselines::{host_based, sink_based};
 use nova_core::{JoinQuery, StreamSpec};
-use nova_exec::{execute, launch, ExecConfig, ShardScale};
+use nova_exec::{execute, launch, ExecConfig};
 use nova_runtime::{simulate_reconfigured, Dataflow, PlanSwitch, SimConfig};
 use nova_topology::{NodeId, NodeRole, Topology};
 use proptest::prelude::*;
@@ -73,7 +73,7 @@ fn base_cfg() -> ExecConfig {
 }
 
 /// The never-reconfigured reference counts — computed once; count
-/// identity across shards/buckets is already pinned by the
+/// identity across shard counts is already pinned by the
 /// exec_vs_sim suite, so one unsharded run is the whole reference.
 fn baseline() -> &'static (u64, u64, u64) {
     static BASELINE: OnceLock<(u64, u64, u64)> = OnceLock::new();
@@ -88,13 +88,13 @@ fn baseline() -> &'static (u64, u64, u64) {
     })
 }
 
-/// S ≫ cores under reconfiguration: 32 shards per instance with
-/// `(window, pair)` routing, so each instance's seven windows reach at
-/// most seven of its 32 shards. Every other shard thread of the old
-/// generation sees nothing but barriers and must still quiesce (report
-/// an empty export) for the quorum to close; every other shard of the
-/// new generation sees nothing but Eofs and must still retire for the
-/// run to end. The full-migration switch of the property below, pinned
+/// S ≫ cores under reconfiguration: 32 shards per instance on an
+/// unkeyed workload — `(window, pair)` routing — so each instance's
+/// seven windows reach at most seven of its 32 shards. Every other
+/// shard thread of the old generation sees nothing but barriers and
+/// must still quiesce (report an empty export) for the quorum to close;
+/// every other shard of the new generation sees nothing but Eofs and
+/// must still retire for the run to end. The full-migration switch of the property below, pinned
 /// against the drain-exact simulator replay of the same switch.
 #[test]
 fn zero_input_shards_quiesce_at_the_barrier_and_retire_at_eof() {
@@ -110,7 +110,7 @@ fn zero_input_shards_quiesce_at_the_barrier_and_retire_at_eof() {
         duration_ms: DURATION_MS,
         window_ms: 200.0,
         selectivity: 0.8,
-        key_space: 8,
+        key_space: 1,
         max_queue_ms: f64::INFINITY,
         ..SimConfig::default()
     };
@@ -145,7 +145,7 @@ proptest! {
     /// Migrating every live group to a different shard — an instance
     /// permutation away from the sink host and onto a worker, with the
     /// two pairs' instance slots swapped — preserves all three counts
-    /// exactly, at sampled (shards × buckets × batch) combinations
+    /// exactly, at sampled (shards × batch) combinations
     /// and epoch positions, under keyed pair skew.
     /// The sampled epoch almost never lands on a batch boundary, so the
     /// sources' epoch split routinely flushes a partially filled
@@ -154,23 +154,20 @@ proptest! {
     #[test]
     fn full_group_migration_preserves_counts_exactly(
         shards in 1usize..=4,
-        bucket_pick in 0usize..3,
         batch_pick in 0usize..4,
         epoch_frac in 0.3f64..0.7,
     ) {
-        let key_buckets = [1usize, 2, 8][bucket_pick];
         let batch_size = [1usize, 2, 7, 64][batch_pick];
         let (t, q) = world();
         let pre = sink_based(&q, &q.resolve());
         // Post plan: both instances move (sink host -> worker) and
-        // their slots swap, so every (window, pair, bucket) group's
+        // their slots swap, so every (window, pair, sub-key) group's
         // flat shard index changes — total migration.
         let mut post = host_based(&q, &q.resolve(), nova_topology::NodeId(1));
         post.replicas.reverse();
         let df = Dataflow::from_baseline(&q, &pre);
         let cfg = ExecConfig {
             shards,
-            key_buckets,
             batch_size,
             ..base_cfg()
         };
@@ -185,10 +182,7 @@ proptest! {
         prop_assert!(stats.migrated_tuples > 0, "live state must migrate");
         let res = handle.join();
         let (emitted, matched, delivered) = *baseline();
-        let tag = format!(
-            "shards={shards} buckets={key_buckets} \
-             batch={batch_size} epoch={epoch_ms:.1}"
-        );
+        let tag = format!("shards={shards} batch={batch_size} epoch={epoch_ms:.1}");
         prop_assert!(stats.clean_split, "{}: epoch must bisect the batch", tag);
         prop_assert_eq!(res.dropped, 0, "{}: must stay drop-free", tag);
         prop_assert_eq!(res.emitted, emitted, "{}: emitted moved", tag);
@@ -198,7 +192,7 @@ proptest! {
 
     /// Controller-shaped switch sequences — a mid-run **source
     /// admission** (`add_source`) followed by a **relocating scale-up**
-    /// (`apply_scaled` with a [`ShardScale`] override) — stay
+    /// (`apply_scaled` with a shard-count override) — stay
     /// count-identical to the simulator replaying the same recorded
     /// switches, across sampled shard layouts and epoch
     /// positions. This is the property the autoscaler leans on: any
@@ -208,12 +202,10 @@ proptest! {
     #[test]
     fn recorded_controller_sequences_replay_exactly(
         shards in 1usize..=3,
-        bucket_pick in 0usize..3,
         batch_pick in 0usize..4,
         admit_frac in 0.3f64..0.5,
         rescale_frac in 0.65f64..0.85,
     ) {
-        let key_buckets = [1usize, 2, 8][bucket_pick];
         let batch_size = [1usize, 2, 7, 64][batch_pick];
         let (mut t, q_pre) = world();
         // Admit a stream keyed against `cold_l` at cold_l's own rate:
@@ -244,23 +236,17 @@ proptest! {
 
         let cfg = ExecConfig {
             shards,
-            key_buckets,
             batch_size,
             ..ExecConfig::from_sim(&sim_cfg, 16.0)
         };
         let tag = format!(
-            "shards={shards} buckets={key_buckets} \
-             batch={batch_size} admit={:.1} rescale={:.1}",
+            "shards={shards} batch={batch_size} admit={:.1} rescale={:.1}",
             admit.epoch_ms, rescale.epoch_ms
         );
         let mut handle = launch(&t, flat_dist, &df, &cfg).expect("valid config");
         let stats = handle.add_source(&admit, flat_dist).expect("admission");
         prop_assert!(stats.clean_split, "{}: admission epoch armed late", tag);
-        let scale = ShardScale {
-            shards: shards + 1,
-            key_buckets: (key_buckets * 2).max(2),
-        };
-        let stats = handle.apply_scaled(&rescale, flat_dist, scale).expect("scale-up");
+        let stats = handle.apply_scaled(&rescale, flat_dist, shards + 1).expect("scale-up");
         prop_assert!(stats.clean_split, "{}: scale epoch armed late", tag);
         prop_assert_eq!(handle.shards(), shards + 1, "{}: scale not adopted", tag);
         let res = handle.join();

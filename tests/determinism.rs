@@ -148,8 +148,9 @@ fn executor_is_count_identical_across_runs() {
 #[test]
 fn keyed_sharded_executor_is_count_identical_across_runs() {
     // The keyed path adds two pure functions to the hot path — the
-    // per-tuple sub-key and its routing bucket — so a keyed sharded run
-    // must stay count-deterministic exactly like the unkeyed one.
+    // per-tuple sub-key and its share of the shard hash — so a keyed
+    // sharded run must stay count-deterministic exactly like the
+    // unkeyed one.
     let (t, df, _) = partitioned_world();
     let cfg = ExecConfig {
         duration_ms: 3000.0,
@@ -158,7 +159,6 @@ fn keyed_sharded_executor_is_count_identical_across_runs() {
         time_scale: 8.0,
         shards: 4,
         key_space: 8,
-        key_buckets: 8,
         // Drop-free by construction — see above.
         max_queue_ms: f64::INFINITY,
         ..ExecConfig::default()

@@ -350,14 +350,14 @@ fn sharded_backend_match_counts_identical_to_sim_and_threaded() {
 }
 
 /// Keyed workloads under pair skew: the acceptance bar for
-/// `(window, pair, key bucket)` routing. A hot pair (5× the cold
+/// `(window, pair, sub-key)` routing. A hot pair (5× the cold
 /// pair's rate) with windows spanning many emission intervals and
 /// sub-keys drawn from [0, 8) — the regime keyed sub-pair sharding
 /// exists for — must keep `matched` / `delivered` *identical* across
 /// the simulator relationship, the threaded baseline and sharded
-/// runs at every (shards × key-buckets) combination.
+/// runs at every shard count.
 #[test]
-fn keyed_skewed_counts_identical_at_every_bucket_count() {
+fn keyed_skewed_counts_identical_at_every_shard_count() {
     // Rates divide 1000 exactly (20 ms / 100 ms intervals) so both
     // engines produce identical float event-time sequences; pair 0
     // carries 5× the traffic of pair 1.
@@ -407,25 +407,66 @@ fn keyed_skewed_counts_identical_at_every_bucket_count() {
     );
     let extra = (threaded.matched - sim.matched) as f64;
     assert!(extra <= (sim.matched as f64 * 0.10).max(8.0));
-    for shards in [2usize, 4] {
-        for key_buckets in [1usize, 2, 8, 32] {
-            let cfg = ExecConfig {
-                shards,
-                key_buckets,
-                ..ExecConfig::from_sim(&sim_cfg, 8.0)
-            };
-            let sharded = execute(&t, dist, &df, &cfg).expect("valid exec config");
-            let tag = format!("shards={shards} buckets={key_buckets}");
-            assert_eq!(sharded.dropped, 0, "{tag}: must stay drop-free");
-            assert_eq!(
-                sharded.matched, threaded.matched,
-                "{tag}: changed the keyed match set vs threaded"
-            );
-            assert_eq!(
-                sharded.delivered, threaded.delivered,
-                "{tag}: changed the keyed delivery count vs threaded"
-            );
-        }
+    for shards in [2usize, 3, 4, 8] {
+        let cfg = ExecConfig {
+            shards,
+            ..ExecConfig::from_sim(&sim_cfg, 8.0)
+        };
+        let sharded = execute(&t, dist, &df, &cfg).expect("valid exec config");
+        let tag = format!("shards={shards}");
+        assert_eq!(sharded.dropped, 0, "{tag}: must stay drop-free");
+        assert_eq!(
+            sharded.matched, threaded.matched,
+            "{tag}: changed the keyed match set vs threaded"
+        );
+        assert_eq!(
+            sharded.delivered, threaded.delivered,
+            "{tag}: changed the keyed delivery count vs threaded"
+        );
+    }
+}
+
+/// The default routing spreads one hot window: one pair, one window
+/// spanning the run, a keyed workload and nothing but `shards: 4` set
+/// on the executor side. `(window, pair)` alone would land the whole
+/// run on one shard; every shard must see input, and what joins must
+/// equal the one-shard run and the drain-exact simulator.
+#[test]
+fn one_hot_keyed_window_reaches_every_shard_by_default() {
+    let (t, q) = world();
+    let df = Dataflow::from_baseline(&q, &sink_based(&q, &q.resolve()));
+    let sim_cfg = SimConfig {
+        duration_ms: 2000.0,
+        window_ms: 2001.0,
+        selectivity: 1.0,
+        key_space: 128,
+        max_queue_ms: f64::INFINITY,
+        ..SimConfig::default()
+    };
+    let sim = simulate_reconfigured(&t, dist, &df, &[], &sim_cfg);
+    assert!(sim.delivered > 0, "keyed hot window must match");
+    let one = execute(&t, dist, &df, &ExecConfig::from_sim(&sim_cfg, 8.0)).expect("valid config");
+
+    let cfg = ExecConfig {
+        shards: 4,
+        ..ExecConfig::from_sim(&sim_cfg, 8.0)
+    };
+    let handle = nova::exec::launch(&t, dist, &df, &cfg).expect("valid config");
+    let feed = handle
+        .subscribe(std::time::Duration::from_millis(20))
+        .expect("non-zero interval");
+    let four = handle.join();
+    let last = feed.iter().last().expect("final snapshot");
+
+    assert_eq!(last.shards.len(), 4);
+    for s in &last.shards {
+        assert!(s.tuples_in > 0, "shard {} saw no input: {s:?}", s.shard);
+    }
+    for (tag, res) in [("shards=1", &one), ("shards=4", &four)] {
+        assert_eq!(res.dropped, 0, "{tag}");
+        assert_eq!(res.emitted, sim.emitted, "{tag}: emitted diverged");
+        assert_eq!(res.matched, sim.matched, "{tag}: matched diverged");
+        assert_eq!(res.delivered, sim.delivered, "{tag}: delivered diverged");
     }
 }
 

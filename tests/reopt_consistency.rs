@@ -197,12 +197,9 @@ fn mid_run_reconfiguration_matches_simulator_replay_on_all_backends() {
     // 7 (co-prime with the emission grid, so the epoch lands mid-batch
     // and the barrier must bisect a partially filled frame) and 64
     // (whole windows per frame).
-    for (shards, key_buckets, batch_size) in
-        [(1usize, 1usize, 7usize), (4, 4, 1), (4, 4, 7), (4, 4, 64)]
-    {
+    for (shards, batch_size) in [(1usize, 7usize), (4, 1), (4, 7), (4, 64)] {
         let cfg = ExecConfig {
             shards,
-            key_buckets,
             batch_size,
             ..ExecConfig::from_sim(&sim_cfg, 8.0)
         };
@@ -270,10 +267,9 @@ fn recorded_admission_and_scale_sequence_matches_simulator_replay() {
     // The admission epoch (1050) is co-prime with batch 7's frame
     // boundaries, so the late stream's admission — and the rescale at
     // 1700 — both land mid-batch; batch 64 crosses whole windows.
-    for (shards, key_buckets, batch_size) in [(1usize, 1usize, 7usize), (4, 4, 64), (4, 4, 7)] {
+    for (shards, batch_size) in [(1usize, 7usize), (4, 64), (4, 7)] {
         let cfg = ExecConfig {
             shards,
-            key_buckets,
             batch_size,
             ..ExecConfig::from_sim(&sim_cfg, 8.0)
         };
@@ -294,14 +290,7 @@ fn recorded_admission_and_scale_sequence_matches_simulator_replay() {
             "{tag}: live window state must cross the admission epoch"
         );
         let stats = handle
-            .apply_scaled(
-                &rescale,
-                flat_dist,
-                nova::exec::ShardScale {
-                    shards: shards * 2,
-                    key_buckets: (key_buckets * 2).max(2),
-                },
-            )
+            .apply_scaled(&rescale, flat_dist, shards * 2)
             .expect("scale-up");
         assert!(stats.clean_split, "{tag}: scale epoch armed late");
         assert_eq!(handle.shards(), shards * 2, "{tag}: scale not adopted");
