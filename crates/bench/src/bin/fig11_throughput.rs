@@ -26,6 +26,14 @@ use nova_bench::{
 };
 use nova_workloads::{environmental_scenario, EnvironmentalParams};
 
+/// A flag error stops the run with status 2, as [`real_exec_cfg`] does.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -39,12 +47,12 @@ fn main() {
     let duration_ms = if full { 120_000.0 } else { 30_000.0 };
     let seed = 11;
 
-    let sim = with_key_space(&args, default_sim(duration_ms, seed));
+    let sim = or_exit(with_key_space(&args, default_sim(duration_ms, seed)));
     // The executor replays the simulator settings, dilated 20× so the
     // 30 s virtual horizon takes ~1.5 s wall per approach.
     let real_cfg = real_exec_cfg(&args, &sim, 20.0);
     let real = real_cfg.is_some();
-    let mut metrics = metrics_out_path(&args)
+    let mut metrics = or_exit(metrics_out_path(&args))
         .filter(|_| real)
         .map(|p| MetricsWriter::create(&p));
 

@@ -1,10 +1,11 @@
 //! # nova-bench — the experiment harness
 //!
 //! One runnable binary per figure of the paper's evaluation (run with
-//! `cargo run --release -p nova-bench --bin figNN`) plus Criterion
-//! microbenchmarks (`cargo bench`). This library carries the shared
-//! machinery: running every approach on a workload, result tables and
-//! CSV output.
+//! `cargo run --release -p nova-bench --bin figNN`). This library
+//! carries the shared machinery: running every approach on a workload,
+//! the `--real` executor re-runs and their flags, result tables and CSV
+//! output. Performance is measured by the standalone `benchmark/`
+//! crate, not here.
 //!
 //! | Binary | Paper figure | Claim it regenerates |
 //! |--------|--------------|----------------------|
@@ -29,8 +30,7 @@ pub use endtoend::{
     default_sim, end_to_end_runs, end_to_end_runs_real, E2ERun, E2ERunReal, STRESS_FACTOR,
 };
 pub use realexec::{
-    exec_label, hot_pair_cfg, launch_placement_real, metrics_out_path, parse_real_exec_cfg,
-    real_exec_cfg, run_placement_real, throughput_cfg, throughput_world, throughput_world_rates,
-    with_key_space, zipf_pair_rates, MetricsWriter, REAL_FLAGS_USAGE,
+    exec_label, launch_placement_real, metrics_out_path, parse_real_exec_cfg, real_exec_cfg,
+    run_placement_real, with_key_space, MetricsWriter, REAL_FLAGS_USAGE,
 };
 pub use report::{results_dir, write_csv, Table};

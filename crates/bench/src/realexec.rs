@@ -3,9 +3,8 @@
 //! Counterpart of `nova_runtime::run_placement` for the threaded
 //! executor: the same placement, latency provider and (virtual) engine
 //! settings, but every tuple is physically processed by a worker
-//! thread. Used by `benches/exec_throughput.rs` and the
-//! `real_execution` example, and by any experiment that wants hardware
-//! numbers next to model numbers.
+//! thread. Used by the fig binaries' `--real` mode (via
+//! [`crate::end_to_end_runs_real`]), which also parses its flags here.
 
 use nova_core::{JoinQuery, Placement};
 use nova_exec::{ExecConfig, ExecResult};
@@ -116,21 +115,27 @@ pub fn real_exec_cfg(args: &[String], sim: &SimConfig, time_scale: f64) -> Optio
 /// Value of the figure binaries' `--metrics-out PATH` flag, if
 /// present. Only meaningful together with `--real`: the simulator
 /// columns have no telemetry plane, so without `--real` the flag is
-/// accepted but nothing is written.
-pub fn metrics_out_path(args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// accepted but nothing is written. A flag with no path after it (at
+/// the end of the line, or followed by another `--flag`) is an error
+/// naming the flag, like a malformed count in [`parse_real_exec_cfg`].
+pub fn metrics_out_path(args: &[String]) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == "--metrics-out") else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(path) if !path.starts_with("--") => Ok(Some(path.clone())),
+        other => Err(format!(
+            "--metrics-out needs a path, got {:?}",
+            other.map(String::as_str).unwrap_or("")
+        )),
+    }
 }
 
 /// JSON-lines sink for the fig binaries' `--metrics-out` flag: one
 /// [`nova_exec::MetricsSnapshot`] per `--real` re-run, tagged with the
 /// approach label so a single file holds the whole side-by-side sweep.
-/// The bench smoke binary has its own richer capture (it also streams
-/// intermediate snapshots); this writer records only each run's final
-/// registry state, which is what the figures' per-approach comparisons
-/// need.
+/// It records each run's final registry state, which is what the
+/// figures' per-approach comparisons need.
 pub struct MetricsWriter {
     file: std::fs::File,
 }
@@ -162,16 +167,22 @@ impl MetricsWriter {
 /// patch the `SimConfig` both the simulator columns and the `--real`
 /// executor re-runs ([`real_exec_cfg`] via `ExecConfig::from_sim`) are
 /// derived from — overriding only the executor side would silently
-/// break their side-by-side comparability. Absent or malformed flag
-/// keeps the config's own `key_space`.
-pub fn with_key_space(args: &[String], sim: SimConfig) -> SimConfig {
-    let key_space = args
-        .iter()
-        .position(|a| a == "--key-space")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(sim.key_space);
-    SimConfig { key_space, ..sim }
+/// break their side-by-side comparability. An absent flag keeps the
+/// config's own `key_space`; a value that is not a positive integer
+/// (`--key-space four`, a flag with no value) is an error naming the
+/// flag — and so is `0`, which the simulator would run unkeyed while
+/// `ExecConfig::validate` rejects it for the `--real` column.
+pub fn with_key_space(args: &[String], sim: SimConfig) -> Result<SimConfig, String> {
+    let Some(i) = args.iter().position(|a| a == "--key-space") else {
+        return Ok(sim);
+    };
+    let value = args.get(i + 1).map(String::as_str).unwrap_or("");
+    match value.parse::<u32>() {
+        Ok(key_space) if key_space > 0 => Ok(SimConfig { key_space, ..sim }),
+        _ => Err(format!(
+            "--key-space needs a positive integer, got {value:?}"
+        )),
+    }
 }
 
 /// Human-readable description of the layout a config selects, for the
@@ -205,8 +216,9 @@ pub fn run_placement_real(
 /// the live counterpart of [`run_placement_real`]: the returned
 /// [`nova_exec::ExecHandle`] absorbs `PlanSwitch`es mid-stream
 /// (`handle.apply(..)`) and yields the final counts on
-/// `handle.join()`. Used by the `churn` smoke scenario and any
-/// experiment that reconfigures a running placement.
+/// `handle.join()`. Used by [`crate::end_to_end_runs_real`] to subscribe
+/// to the run's telemetry, and by any experiment that reconfigures a
+/// running placement.
 pub fn launch_placement_real(
     topology: &Topology,
     provider: &impl LatencyProvider,
@@ -217,92 +229,6 @@ pub fn launch_placement_real(
 ) -> Result<nova_exec::ExecHandle, nova_exec::ExecConfigError> {
     let df = Dataflow::build(query, placement, |_| sigma);
     nova_exec::launch(topology, |a, b| provider.rtt(a, b), &df, cfg)
-}
-
-/// The executor-throughput benchmark world: `n_pairs` keyed joins,
-/// `rate` tuples/s per stream, uncapped nodes (capacity 0 ⇒ pure relay:
-/// no service pacing in the hot path), sink-based placement. Shared by
-/// `benches/exec_throughput.rs` and the `bench_exec_smoke` binary so
-/// the CI smoke numbers measure exactly the benchmark workload.
-pub fn throughput_world(n_pairs: u32, rate: f64) -> (Topology, Dataflow) {
-    throughput_world_rates(&vec![rate; n_pairs as usize])
-}
-
-/// [`throughput_world`] with one join pair per entry of `rates` —
-/// the skewed-workload generator: pair `k`'s two streams each emit
-/// `rates[k]` tuples/s. Uniform vectors reproduce `throughput_world`;
-/// [`zipf_pair_rates`] vectors concentrate the traffic on the first
-/// (hot) pairs.
-pub fn throughput_world_rates(rates: &[f64]) -> (Topology, Dataflow) {
-    use nova_core::baselines::sink_based;
-    use nova_core::StreamSpec;
-    use nova_topology::NodeRole;
-
-    let mut t = Topology::new();
-    let sink = t.add_node(NodeRole::Sink, 0.0, "sink");
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for (k, &rate) in rates.iter().enumerate() {
-        let l = t.add_node(NodeRole::Source, 0.0, format!("l{k}"));
-        let r = t.add_node(NodeRole::Source, 0.0, format!("r{k}"));
-        left.push(StreamSpec::keyed(l, rate, k as u32));
-        right.push(StreamSpec::keyed(r, rate, k as u32));
-    }
-    let query = JoinQuery::by_key(left, right, sink);
-    let placement = sink_based(&query, &query.resolve());
-    let dataflow = Dataflow::from_baseline(&query, &placement);
-    (t, dataflow)
-}
-
-/// Zipfian per-pair stream rates: pair `k` emits
-/// `top_rate / (k + 1)^exponent` tuples/s per side — the classic
-/// skewed-popularity workload where the first pair dominates the
-/// traffic (exponent 1.25 gives the head pair ~54 % of a 4-pair
-/// aggregate).
-pub fn zipf_pair_rates(n_pairs: u32, top_rate: f64, exponent: f64) -> Vec<f64> {
-    (0..n_pairs)
-        .map(|k| top_rate / ((k + 1) as f64).powf(exponent))
-        .collect()
-}
-
-/// Flat-out executor settings for [`throughput_world`]: virtual time
-/// runs far ahead of the wall clock so sources never sleep and the
-/// join/channel machinery is the only bottleneck.
-pub fn throughput_cfg(
-    duration_ms: f64,
-    window_ms: f64,
-    selectivity: f64,
-    shards: usize,
-) -> ExecConfig {
-    ExecConfig {
-        duration_ms,
-        window_ms,
-        selectivity,
-        gc_interval_ms: 5.0,
-        seed: 0x51,
-        max_queue_ms: f64::INFINITY,
-        time_scale: 1000.0,
-        batch_size: 1024,
-        shards,
-        key_space: 1,
-        ..ExecConfig::default()
-    }
-}
-
-/// The **single-hot-pair saturation** configuration: one giant tumbling
-/// window spanning the whole run and a keyed workload (`key_space`
-/// sub-keys). `(window, pair)` alone would land every tuple of the run
-/// on one shard — the skew failure mode where PR 2's sharding showed no
-/// speedup; the executor's routing also hashes the sub-key, so the
-/// window's state splits across all shards. Selectivity keeps the
-/// output volume of the giant window's keyed cross-product bounded.
-pub fn hot_pair_cfg(duration_ms: f64, key_space: u32, shards: usize) -> ExecConfig {
-    ExecConfig {
-        key_space,
-        // One window covering the entire horizon (+1 ms so boundary
-        // tuples at t == duration stay inside it); selectivity 1 %.
-        ..throughput_cfg(duration_ms, duration_ms + 1.0, 0.01, shards)
-    }
 }
 
 #[cfg(test)]
@@ -381,6 +307,39 @@ mod tests {
         // A count flag with nothing after it is the same mistake.
         let err = parse_real_exec_cfg(&args(&["--real", "--shards"]), &sim, 8.0).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
+    }
+
+    #[test]
+    fn key_space_and_metrics_out_reject_bad_values() {
+        // Regression: `--key-space four` kept the default, `--key-space
+        // 0` ran the simulator columns unkeyed, and a trailing
+        // `--metrics-out` wrote nothing — all without a word.
+        let sim = SimConfig::default();
+        let keyed = with_key_space(&args(&["--key-space", "64"]), sim).expect("valid");
+        assert_eq!(keyed.key_space, 64);
+        let unset = with_key_space(&args(&["--real"]), sim).expect("absent flag");
+        assert_eq!(unset.key_space, sim.key_space);
+        for value in ["four", "0", "-1", "--real"] {
+            let err = with_key_space(&args(&["--key-space", value]), sim).unwrap_err();
+            assert!(
+                err.contains("--key-space"),
+                "error must name the flag: {err}"
+            );
+            assert!(err.contains(value), "error must name the value: {err}");
+        }
+        let err = with_key_space(&args(&["--key-space"]), sim).unwrap_err();
+        assert!(err.contains("--key-space"), "{err}");
+
+        assert_eq!(
+            metrics_out_path(&args(&["--real", "--metrics-out", "m.jsonl"])),
+            Ok(Some("m.jsonl".to_string()))
+        );
+        assert_eq!(metrics_out_path(&args(&["--real"])), Ok(None));
+        let err = metrics_out_path(&args(&["--real", "--metrics-out"])).unwrap_err();
+        assert!(err.contains("--metrics-out"), "{err}");
+        let err = metrics_out_path(&args(&["--metrics-out", "--real"])).unwrap_err();
+        assert!(err.contains("--metrics-out"), "{err}");
+        assert!(err.contains("--real"), "error must name the value: {err}");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct NovaConfig {
     /// beyond it the approximate Annoy-style index takes over (§3.4).
     /// The default keeps the exact tree everywhere: in the 2-D cost
     /// space a k-d tree out-queries the random-projection forest at all
-    /// the scales the paper evaluates (`benches/knn.rs` measures this);
+    /// the scales the paper evaluates;
     /// lower the threshold when embedding into higher-dimensional,
     /// multi-metric cost spaces (§3.6).
     pub exact_index_threshold: usize,

@@ -41,8 +41,8 @@
 //! oscillate: a decision needs `high_samples` (resp. `slack_samples`)
 //! consecutive snapshots beyond the threshold, and after any switch
 //! the controller holds for `cooldown_ms` of virtual time regardless
-//! of what the estimator says. The flash-crowd and diurnal scenarios
-//! in `bench_exec_smoke` pin this (BENCH_exec_autoscale.json).
+//! of what the estimator says. The flash-crowd and diurnal runs in
+//! `tests/autoscale_edge.rs` pin this.
 //!
 //! **Correctness gate.** Every switch the controller applies — scale,
 //! re-placement or [`ExecHandle::add_source`] admission — is recorded
@@ -328,8 +328,8 @@ impl Policy {
     }
 }
 
-/// One JSON-lines row of the controller's decision log: the snapshot
-/// it saw, the utilization it predicted and what it did about it.
+/// One row of the controller's decision log: the snapshot it saw, the
+/// utilization it predicted and what it did about it.
 #[derive(Debug, Clone)]
 pub struct DecisionRecord {
     /// Virtual time of the deciding snapshot.
@@ -351,37 +351,6 @@ pub struct DecisionRecord {
     pub shards: usize,
     /// `"held"`, `"applied"`, or `"rejected: <error>"`.
     pub outcome: String,
-}
-
-impl DecisionRecord {
-    /// Serialize as one JSON object on one line (hand-rolled like the
-    /// rest of the workspace — no serde in the offline build).
-    pub fn to_json_line(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".into()
-            }
-        }
-        format!(
-            "{{\"at_ms\":{},\"wall_ms\":{},\"utilization\":{},\"max_backlog_ms\":{},\
-             \"queued_tuples\":{},\"action\":\"{}\",\"epoch_ms\":{},\"shards\":{},\
-             \"outcome\":\"{}\"}}",
-            num(self.at_ms),
-            num(self.wall_ms),
-            num(self.utilization),
-            num(self.max_backlog_ms),
-            self.queued_tuples,
-            esc(&self.action),
-            num(self.epoch_ms),
-            self.shards,
-            esc(&self.outcome)
-        )
-    }
 }
 
 /// A switch the controller successfully applied, in order. Replaying
@@ -418,7 +387,7 @@ pub struct AutoscaleReport {
 /// instance succession map (old instance → new instance), exactly the
 /// `(dataflow, succ)` halves of a [`PlanSwitch`]. Supplied by the
 /// caller because placement lives in `nova-core`, not the executor —
-/// benches and tests typically wrap `nova_core::baselines::host_based`.
+/// tests typically wrap `nova_core::baselines::host_based`.
 pub type Relocator = Box<dyn FnMut(NodeId) -> (Dataflow, Vec<Option<u32>>) + Send>;
 
 /// Latency oracle for compiling post plans on the controller thread.
@@ -647,6 +616,8 @@ fn control_loop(
     };
 
     if let Some(rx) = feed {
+        // Virtual time at which the last switch attempt returned.
+        let mut settled_ms = f64::NEG_INFINITY;
         loop {
             // Injected commands first: they share the thread, so they
             // interleave with controller decisions in one sequence.
@@ -660,6 +631,7 @@ fn control_loop(
                     &mut switches,
                     &mut dist,
                 );
+                settled_ms = handle.now_ms();
             }
             let snap = match rx.recv_timeout(Duration::from_millis(5)) {
                 Ok(s) => s,
@@ -668,10 +640,14 @@ fn control_loop(
                 // finish, but never spin on a dead feed).
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             };
-            // The run has drained once every shard row has retired:
-            // only this thread reconfigures, so "all dead" can never be
-            // a transient between generations.
-            let drained = !snap.shards.is_empty() && snap.shards.iter().all(|s| !s.live);
+            // The run has drained once every shard row has retired. The
+            // sampler runs on its own thread, so a snapshot taken while
+            // a switch was in flight can catch the old generation retired
+            // and the new one not yet registered; only a snapshot taken
+            // after the last switch returned proves the drain.
+            let drained = snap.at_ms > settled_ms
+                && !snap.shards.is_empty()
+                && snap.shards.iter().all(|s| !s.live);
             let eval = policy.observe(&snap);
             let (action, epoch_ms, outcome) = match eval.decision {
                 Decision::Hold => ("hold".to_string(), f64::NAN, "held".to_string()),
@@ -741,6 +717,9 @@ fn control_loop(
                     }
                 }
             };
+            if eval.decision != Decision::Hold {
+                settled_ms = handle.now_ms();
+            }
             decisions.push(DecisionRecord {
                 at_ms: snap.at_ms,
                 wall_ms: snap.wall_ms,
@@ -895,32 +874,5 @@ mod tests {
             } => assert_eq!(n, 1),
             other => panic!("expected relocating scale-up, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn decision_record_json_is_one_object_per_line() {
-        let rec = DecisionRecord {
-            at_ms: 1234.5,
-            wall_ms: 60.0,
-            utilization: 1.25,
-            max_backlog_ms: 300.0,
-            queued_tuples: 42,
-            action: "scale-up".into(),
-            epoch_ms: 1300.0,
-            shards: 4,
-            outcome: "applied".into(),
-        };
-        let line = rec.to_json_line();
-        assert!(!line.contains('\n'));
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"action\":\"scale-up\""));
-        assert!(line.contains("\"queued_tuples\":42"));
-        // Non-finite fields serialize as null, keeping the log
-        // machine-parseable.
-        let hold = DecisionRecord {
-            epoch_ms: f64::NAN,
-            ..rec
-        };
-        assert!(hold.to_json_line().contains("\"epoch_ms\":null"));
     }
 }

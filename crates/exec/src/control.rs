@@ -885,7 +885,7 @@ impl ExecHandle {
     /// the pre/post split then falls past the epoch, so the run no
     /// longer mirrors [`nova_runtime::simulate_reconfigured`] at that
     /// epoch; the returned [`EpochStats::clean_split`] reports which
-    /// case occurred (and the churn smoke gate asserts it stays true).
+    /// case occurred (the reconfiguration tests assert it stays true).
     pub fn apply(
         &mut self,
         switch: &PlanSwitch,

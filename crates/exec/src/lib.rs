@@ -184,8 +184,8 @@ pub struct ExecConfig {
     /// instruments, latency/service histograms and the trace ring —
     /// making [`ExecHandle::metrics`]/[`ExecHandle::subscribe`] live.
     /// The hot-path cost is one relaxed atomic increment per event
-    /// (measured ≤ 3% on the uniform bench scenario; the CI smoke
-    /// gate pins it). `false` skips registration entirely: workers
+    /// (the repo benchmark reports it as `exec.telemetry_overhead_pct`).
+    /// `false` skips registration entirely: workers
     /// carry no instrument handles and snapshots degrade to the coarse
     /// shared [`Counters`].
     pub telemetry: bool,

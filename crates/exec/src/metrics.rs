@@ -237,7 +237,8 @@ impl ExecResult {
     }
 
     /// Source tuples pushed through the executor per *wall-clock*
-    /// second — the hardware-throughput number the exec benches report.
+    /// second — the hardware-throughput number (`real_execution`
+    /// example).
     pub fn input_tuples_per_wall_s(&self) -> f64 {
         if self.wall_ms <= 0.0 {
             return 0.0;
@@ -297,8 +298,8 @@ pub const HIST_BUCKETS: usize = 40;
 #[derive(Debug)]
 pub(crate) struct LogHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
-    /// Sum of recorded values in integer microseconds (for the
-    /// Prometheus `_sum` series).
+    /// Sum of recorded values in integer microseconds (read out as
+    /// [`HistogramSnapshot::sum_ms`]).
     sum_us: AtomicU64,
 }
 
@@ -1227,93 +1228,6 @@ impl MetricsSnapshot {
         s.push_str("]}");
         s
     }
-
-    /// Render in the Prometheus text exposition format (hand-rolled,
-    /// counters as `_total`, histograms with cumulative `le` buckets).
-    pub fn to_prometheus(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        for (name, v) in [
-            ("nova_emitted_total", self.emitted),
-            ("nova_matched_total", self.matched),
-            ("nova_delivered_total", self.delivered),
-            ("nova_dropped_total", self.dropped),
-        ] {
-            s.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
-        s.push_str("# TYPE nova_sink_queue_depth_tuples gauge\n");
-        s.push_str(&format!(
-            "nova_sink_queue_depth_tuples {}\n",
-            self.sink_queued_tuples
-        ));
-        s.push_str("# TYPE nova_source_emitted_total counter\n");
-        for src in &self.sources {
-            s.push_str(&format!(
-                "nova_source_emitted_total{{source=\"{}\",node=\"{}\"}} {}\n",
-                src.source, src.node, src.emitted
-            ));
-        }
-        for (name, kind, get) in [
-            (
-                "nova_shard_tuples_in_total",
-                "counter",
-                (|sh: &ShardSnapshot| sh.tuples_in) as fn(&ShardSnapshot) -> u64,
-            ),
-            ("nova_shard_matched_total", "counter", |sh| sh.matched),
-            ("nova_shard_out_tuples_total", "counter", |sh| sh.out_tuples),
-            ("nova_shard_queue_depth_msgs", "gauge", |sh| sh.queued_msgs),
-            ("nova_shard_queue_depth_tuples", "gauge", |sh| {
-                sh.queued_tuples
-            }),
-            ("nova_shard_live", "gauge", |sh| sh.live as u64),
-        ] {
-            s.push_str(&format!("# TYPE {name} {kind}\n"));
-            for sh in &self.shards {
-                s.push_str(&format!(
-                    "{name}{{generation=\"{}\",instance=\"{}\",shard=\"{}\",pair=\"{}\"}} {}\n",
-                    sh.generation,
-                    sh.instance,
-                    sh.shard,
-                    sh.pair,
-                    get(sh)
-                ));
-            }
-        }
-        s.push_str("# TYPE nova_node_busy_ms_total counter\n");
-        for n in &self.nodes {
-            s.push_str(&format!(
-                "nova_node_busy_ms_total{{node=\"{}\"}} {}\n",
-                n.node,
-                jnum(n.busy_ms)
-            ));
-        }
-        s.push_str("# TYPE nova_node_backlog_ms gauge\n");
-        for n in &self.nodes {
-            s.push_str(&format!(
-                "nova_node_backlog_ms{{node=\"{}\"}} {}\n",
-                n.node,
-                jnum(n.backlog_ms)
-            ));
-        }
-        for (name, h) in [
-            ("nova_latency_ms", &self.latency),
-            ("nova_service_ms", &self.service),
-        ] {
-            s.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cum = 0u64;
-            let last_nonzero = h.counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-            for (i, c) in h.counts.iter().enumerate().take(last_nonzero + 1) {
-                cum += c;
-                s.push_str(&format!(
-                    "{name}_bucket{{le=\"{}\"}} {cum}\n",
-                    jnum(HistogramSnapshot::bucket_upper_ms(i))
-                ));
-            }
-            s.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-            s.push_str(&format!("{name}_sum {}\n", jnum(h.sum_ms)));
-            s.push_str(&format!("{name}_count {}\n", h.count()));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -1458,9 +1372,6 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(!json.contains('\n'), "JSON-lines record must be one line");
         assert!(json.contains("\"emitted\":0"));
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("# TYPE nova_emitted_total counter"));
-        assert!(prom.contains("nova_latency_ms_bucket{le=\"+Inf\"} 0"));
         assert_eq!(reg.trace_events().len(), 1);
     }
 

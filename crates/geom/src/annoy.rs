@@ -8,9 +8,8 @@
 //! points. Queries run a best-first search across all trees, collect at
 //! least `search_k` candidates, then rank them by exact distance.
 //!
-//! Recall is tunable via the number of trees and `search_k`; the
-//! `bench/benches/knn.rs` ablation measures the recall/speed trade-off
-//! against the exact [`crate::KdTree`].
+//! Recall is tunable via the number of trees and `search_k`, traded
+//! against speed relative to the exact [`crate::KdTree`].
 
 use std::collections::BinaryHeap;
 

@@ -15,8 +15,9 @@
 //!   step size, matching the paper's description ("we solve iteratively
 //!   using gradient descent \[60\]").
 //!
-//! Both converge to the same optimum; the benchmark suite compares their
-//! speed (`bench/benches/median.rs`). [`minmax_center`] additionally solves
+//! Both converge to the same optimum (a test holds them to it); the
+//! planner uses Weiszfeld, whose cost the repo benchmark reports as
+//! `geom.median_ns_per_pair`. [`minmax_center`] additionally solves
 //! the min–max (smallest enclosing ball) objective the paper discusses and
 //! rejects in §2.3, so the trade-off can be reproduced.
 
@@ -223,7 +224,7 @@ pub fn weighted_geometric_median(
 /// Geometric median via plain sub-gradient descent with a decaying step,
 /// as described in the paper (§3.3, citing Ruder's overview of gradient
 /// descent methods). Slower than Weiszfeld but included for fidelity and
-/// used as a cross-check in tests and ablation benches.
+/// used as a cross-check in tests.
 pub fn geometric_median_gd(anchors: &[Coord], opts: GdOptions) -> Option<MedianResult> {
     let first = anchors.first()?;
     if anchors.len() == 1 {
