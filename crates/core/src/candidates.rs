@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use nova_geom::{AnnoyIndex, AnnoyParams, CapacityKdTree, Coord, Neighbor, NnIndex};
+use nova_geom::{AnnoyIndex, AnnoyParams, CapacityKdTree, Coord, Neighbor};
 use nova_netcoord::CostSpace;
 use nova_topology::{NodeId, NodeRole, Topology};
 

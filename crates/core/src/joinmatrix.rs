@@ -124,30 +124,6 @@ impl JoinMatrix {
         }
         *self = next;
     }
-
-    /// Remove a row, shifting subsequent rows up (source removal, §3.5).
-    pub fn remove_row(&mut self, row: usize) {
-        assert!(row < self.rows, "row {row} out of bounds");
-        let mut next = JoinMatrix::empty(self.rows - 1, self.cols);
-        for (r, c) in self.ones() {
-            if r != row {
-                next.set(if r > row { r - 1 } else { r }, c, true);
-            }
-        }
-        *self = next;
-    }
-
-    /// Remove a column, shifting subsequent columns left.
-    pub fn remove_col(&mut self, col: usize) {
-        assert!(col < self.cols, "col {col} out of bounds");
-        let mut next = JoinMatrix::empty(self.rows, self.cols - 1);
-        for (r, c) in self.ones() {
-            if c != col {
-                next.set(r, if c > col { c - 1 } else { c }, true);
-            }
-        }
-        *self = next;
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn push_and_remove_preserve_entries() {
+    fn push_preserves_entries() {
         let mut m = JoinMatrix::empty(2, 2);
         m.set(0, 0, true);
         m.set(1, 1, true);
@@ -214,15 +190,8 @@ mod tests {
         m.push_col();
         assert_eq!((m.rows(), m.cols()), (3, 3));
         assert!(m.get(0, 0) && m.get(1, 1));
-        m.set(2, 2, true);
-        m.remove_row(1);
-        assert_eq!(m.rows(), 2);
-        assert!(m.get(0, 0));
-        assert!(m.get(1, 2), "row 2 shifted up to row 1");
-        m.remove_col(0);
-        assert_eq!(m.cols(), 2);
-        assert!(m.get(1, 1), "col 2 shifted left to col 1");
-        assert_eq!(m.count_ones(), 1);
+        assert!(!m.get(2, 2));
+        assert_eq!(m.count_ones(), 2);
     }
 
     #[test]
@@ -236,12 +205,5 @@ mod tests {
             assert!(m.get(i, i));
             assert!(!m.get(i, (i + 1) % 130) || i + 1 == i);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn remove_row_out_of_bounds_panics() {
-        let mut m = JoinMatrix::empty(2, 2);
-        m.remove_row(5);
     }
 }

@@ -247,10 +247,6 @@ struct NodePartitions {
     overflowed: bool,
 }
 
-/// A node is saturated once its remaining capacity drops below one
-/// tuple/s — it cannot host even a minimal partition.
-pub const SATURATION_FLOOR: f64 = 1.0;
-
 /// Result of placing one pair.
 #[derive(Debug, Clone)]
 pub struct PlacePairOutcome {

@@ -143,16 +143,6 @@ impl ResolvedPlan {
     pub fn pair(&self, id: PairId) -> &JoinPair {
         &self.pairs[id.idx()]
     }
-
-    /// All pairs touching the given left stream index.
-    pub fn pairs_with_left(&self, left: u32) -> impl Iterator<Item = &JoinPair> + '_ {
-        self.pairs.iter().filter(move |p| p.left == left)
-    }
-
-    /// All pairs touching the given right stream index.
-    pub fn pairs_with_right(&self, right: u32) -> impl Iterator<Item = &JoinPair> + '_ {
-        self.pairs.iter().filter(move |p| p.right == right)
-    }
 }
 
 #[cfg(test)]
@@ -213,14 +203,6 @@ mod tests {
         let q = JoinQuery::dense(left, right, NodeId(3));
         assert_eq!(q.resolve().len(), 2);
         assert_eq!(q.total_input_rate(), 6.0);
-    }
-
-    #[test]
-    fn pairs_with_stream_filters() {
-        let q = sample_query();
-        let plan = q.resolve();
-        assert_eq!(plan.pairs_with_right(0).count(), 2);
-        assert_eq!(plan.pairs_with_left(3).count(), 1);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Property-based tests of optimizer invariants.
 
+use std::collections::BTreeMap;
+
 use nova_core::{
-    evaluate, p_max, partition_rates, sigma_for_bandwidth, EvalOptions, JoinQuery, Nova,
-    NovaConfig, PartitionedJoin, StreamSpec,
+    evaluate, p_max, partition_rates, sigma_for_bandwidth, CandidateIndex, EvalOptions, JoinQuery,
+    Nova, NovaConfig, PartitionedJoin, StreamSpec,
 };
 use nova_geom::Coord;
 use nova_netcoord::CostSpace;
-use nova_topology::{NodeRole, Topology};
+use nova_topology::{NodeId, NodeRole, Topology};
 use proptest::prelude::*;
 
 proptest! {
@@ -163,5 +165,85 @@ proptest! {
         let right_total: f64 = nova.placement().replicas.iter().map(|r| r.right_rate).sum();
         prop_assert!(left_total >= rate - 1e-6, "left {left_total} < {rate}");
         prop_assert!(right_total >= rate - 1e-6, "right {right_total} < {rate}");
+    }
+
+    /// The exact candidate index answers `knn` and `nearest_capable` like
+    /// a scan over the live nodes, through tombstones, the side table
+    /// and the rebuilds churn triggers. Each step is `(op, id, coord,
+    /// cap)`; the step's coordinate, `id` and `cap` double as the query
+    /// point, `k` and demand checked after it.
+    #[test]
+    fn exact_candidate_index_matches_scan_under_churn(
+        n in 4usize..40,
+        seed in 0u64..1000,
+        steps in proptest::collection::vec(
+            (0u32..4, 1u32..60, (-50.0f64..50.0, -50.0f64..50.0), 0.0f64..100.0),
+            10..60,
+        ),
+    ) {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = Topology::new();
+        let mut coords = vec![Coord::xy(0.0, 0.0)];
+        let mut live: BTreeMap<NodeId, (Coord, f64)> = BTreeMap::new();
+        t.add_node(NodeRole::Sink, 1.0, "sink");
+        for i in 1..n {
+            let cap = rng.gen_range(0.0..100.0);
+            let c = Coord::xy(rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0));
+            live.insert(t.add_node(NodeRole::Worker, cap, format!("w{i}")), (c, cap));
+            coords.push(c);
+        }
+        let mut idx = CandidateIndex::build(&t, &CostSpace::new(coords), usize::MAX, seed);
+        for (step, &(op, id, (x, y), cap)) in steps.iter().enumerate() {
+            let (id, c) = (NodeId(id), Coord::xy(x, y));
+            match op {
+                0 => {
+                    idx.remove(id);
+                    live.remove(&id);
+                }
+                1 if !live.contains_key(&id) => {
+                    idx.add_with_capacity(id, c, cap);
+                    live.insert(id, (c, cap));
+                }
+                2 => {
+                    idx.set_avail(id, cap);
+                    if let Some(e) = live.get_mut(&id) {
+                        e.1 = cap;
+                    }
+                }
+                3 => {
+                    idx.update_coord(id, c);
+                    let kept = live.get(&id).map_or(f64::MAX, |e| e.1);
+                    live.insert(id, (c, kept));
+                }
+                _ => {}
+            }
+            prop_assert_eq!(idx.live_count(), live.len(), "step {step}");
+
+            let k = 1 + id.0 as usize % 8;
+            let mut scan: Vec<f64> = live.values().map(|(p, _)| p.dist(&c)).collect();
+            scan.sort_unstable_by(f64::total_cmp);
+            scan.truncate(k);
+            let got: Vec<f64> = idx.knn(&c, k).iter().map(|(_, d)| *d).collect();
+            prop_assert_eq!(got.len(), scan.len(), "step {step}: knn length");
+            for (g, w) in got.iter().zip(&scan) {
+                prop_assert!((g - w).abs() < 1e-9, "step {step}: knn {got:?} vs scan {scan:?}");
+            }
+
+            let want = live
+                .values()
+                .filter(|(_, a)| *a >= cap)
+                .map(|(p, _)| p.dist(&c))
+                .min_by(f64::total_cmp);
+            match (idx.nearest_capable(&c, cap), want) {
+                (Some((_, g)), Some(w)) => {
+                    prop_assert!((g - w).abs() < 1e-9, "step {step}: nearest {g} vs scan {w}");
+                }
+                (None, None) => {}
+                (got, want) => {
+                    prop_assert!(false, "step {step}: nearest {got:?} vs scan {want:?}");
+                }
+            }
+        }
     }
 }

@@ -56,7 +56,7 @@ use crate::channel::{bounded, JoinMsg, Sender, SinkMsg, CHANNEL_CAPACITY};
 use crate::join::JoinCore;
 use crate::metrics::{
     Counters, ExecResult, MetricsRegistry, MetricsSnapshot, NodePacer, ShardInstr, ShardTelemetry,
-    SinkTelemetry, SourceTelemetry, SubscribeError, TraceKind,
+    SinkTelemetry, SourceTelemetry, SubscribeError,
 };
 use crate::sharded::route;
 use crate::worker::{self, CompiledInstance, CompiledSource, VirtualClock};
@@ -355,10 +355,6 @@ fn attach_telemetry(
             instr: Arc::clone(i),
         });
     }
-    r.trace(TraceKind::GenerationSpawn {
-        generation,
-        shard_workers: cores.len(),
-    });
     instr
 }
 
@@ -434,12 +430,6 @@ impl Plane {
             return Err(ReconfigError::RunFinished);
         }
         self.armed = true;
-        if let Some(r) = &self.registry {
-            r.trace(TraceKind::EpochArm {
-                epoch,
-                epoch_ms: switch.epoch_ms,
-            });
-        }
 
         // 2.–3. Collect the quiesce quorum: every old shard whose
         // instance has producers (zero-producer shards retired with an
@@ -465,12 +455,6 @@ impl Plane {
                         continue;
                     }
                     clean_split &= !q.late;
-                    if let Some(r) = &self.registry {
-                        r.trace(TraceKind::ShardQuiesced {
-                            flat: q.flat,
-                            epoch,
-                        });
-                    }
                     exported[q.flat] = q.groups;
                     received += 1;
                 }
@@ -636,12 +620,6 @@ impl Plane {
             clean_split,
         };
         if let Some(r) = &self.registry {
-            r.trace(TraceKind::EpochResume {
-                epoch,
-                migrated_groups,
-                migrated_tuples,
-                handoff_wall_ms: stats.handoff_wall_ms,
-            });
             r.push_epoch(stats);
         }
         self.stats.push(stats);
@@ -749,11 +727,9 @@ fn spawn_sources(
         let counters = Arc::clone(counters);
         let txs = join_txs.to_vec();
         let tele = match registry {
-            Some(r) => SourceTelemetry::new(
-                Arc::clone(r),
-                r.register_source(src.index, src.node),
-                tx_instr.to_vec(),
-            ),
+            Some(r) => {
+                SourceTelemetry::new(r.register_source(src.index, src.node), tx_instr.to_vec())
+            }
             None => SourceTelemetry::disabled(),
         };
         handles.push(std::thread::spawn(move || {
@@ -785,9 +761,9 @@ fn launch_threads(
             .collect(),
     );
     let counters = Arc::new(Counters::default());
-    // The clock starts before the fleet spawns so the registry can
-    // timestamp spawn-time trace events; sources still emit at the
-    // same virtual times (their grid is absolute).
+    // The clock starts before the fleet spawns (the registry holds
+    // it); sources still emit at the same virtual times (their grid is
+    // absolute).
     let clock = VirtualClock::start(cfg.time_scale);
     let registry = cfg
         .telemetry

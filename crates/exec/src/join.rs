@@ -202,7 +202,6 @@ impl JoinCore {
         let tuple = inflight.tuple;
         let window = WindowBuffers::window_of(tuple.event_time, cfg.window_ms);
         let (inst, matched) = (&self.inst, &mut self.matched);
-        let tele = self.telemetry.as_ref();
         // Zero-copy keyed probe: partners are visited in place — no
         // per-probe Vec of the opposite buffer — and only within the
         // tuple's (window, subkey) group, so keyed workloads never walk
@@ -236,7 +235,7 @@ impl JoinCore {
                     match pacers[seg.node].serve(deliver_at) {
                         Some(done) => deliver_at = done,
                         None => {
-                            count_drop(counters, tele.map(|t| &*t.registry));
+                            count_drop(counters);
                             return;
                         }
                     }

@@ -109,8 +109,8 @@ pub use autoscale::{
 };
 pub use control::{launch, EpochStats, ExecHandle, ReconfigError};
 pub use metrics::{
-    Counters, ExecResult, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, NodePacer,
-    NodeSnapshot, ShardSnapshot, SourceSnapshot, SubscribeError, TraceEvent, TraceKind,
+    Counters, ExecResult, HistogramSnapshot, MetricsSnapshot, NodePacer, NodeSnapshot,
+    ShardSnapshot, SourceSnapshot, SubscribeError,
 };
 pub use nova_runtime::PlanSwitch;
 pub use sharded::{key_bucket_of, shard_of};
@@ -180,9 +180,9 @@ pub struct ExecConfig {
     /// containers) and never affects counts.
     pub pin_workers: bool,
     /// Telemetry plane switch. `true` (the default) wires the
-    /// [`MetricsRegistry`] into every worker at launch — per-shard
-    /// instruments, latency/service histograms and the trace ring —
-    /// making [`ExecHandle::metrics`]/[`ExecHandle::subscribe`] live.
+    /// [`metrics::MetricsRegistry`] into every worker at launch —
+    /// per-shard instruments and latency/service histograms — making
+    /// [`ExecHandle::metrics`]/[`ExecHandle::subscribe`] live.
     /// The hot-path cost is one relaxed atomic increment per event
     /// (the repo benchmark reports it as `exec.telemetry_overhead_pct`).
     /// `false` skips registration entirely: workers
@@ -236,7 +236,9 @@ impl ExecConfig {
     /// `--shards 0` fails loudly at the boundary instead of producing a
     /// quietly different layout — and a zero, negative or NaN
     /// `window_ms` / `time_scale` is refused instead of folding every
-    /// tuple into one window or running on a substituted clock.
+    /// tuple into one window or running on a substituted clock. A
+    /// `gc_interval_ms` the simulator could not finish with is refused
+    /// too, so every valid config can be replayed there.
     pub fn validate(&self) -> Result<(), ExecConfigError> {
         if self.shards == 0 {
             return Err(ExecConfigError::ZeroShards);
@@ -247,6 +249,9 @@ impl ExecConfig {
         }
         if !positive_finite(self.time_scale) {
             return Err(ExecConfigError::NonPositiveTimeScale);
+        }
+        if !positive_finite(self.gc_interval_ms) {
+            return Err(ExecConfigError::NonPositiveGcInterval);
         }
         if self.key_space == 0 {
             return Err(ExecConfigError::ZeroKeySpace);
@@ -275,6 +280,11 @@ pub enum ExecConfigError {
     /// clock multiplies wall time by it; the historical behavior
     /// silently substituted 1.0.
     NonPositiveTimeScale,
+    /// `gc_interval_ms` is zero, negative, NaN or infinite: the
+    /// simulator re-arms its GC event `gc_interval_ms` after the last
+    /// one, so it would never leave that instant and this config could
+    /// not be replayed there.
+    NonPositiveGcInterval,
     /// `key_space == 0`: the sub-key space is a workload property with
     /// minimum cardinality 1 (= unkeyed).
     ZeroKeySpace,
@@ -304,6 +314,10 @@ impl std::fmt::Display for ExecConfigError {
                 f,
                 "ExecConfig::time_scale must be a positive finite virtual-per-wall ratio"
             ),
+            ExecConfigError::NonPositiveGcInterval => write!(
+                f,
+                "ExecConfig::gc_interval_ms must be a positive finite watermark advance"
+            ),
             ExecConfigError::ZeroKeySpace => write!(
                 f,
                 "ExecConfig::key_space must be >= 1 (1 = unkeyed workload, sub-key 0)"
@@ -329,9 +343,9 @@ impl std::error::Error for ExecConfigError {}
 ///
 /// The configuration is validated at entry: zero-valued knobs
 /// (`shards`, `key_space`, `batch_size`) and non-positive or non-finite
-/// `window_ms` / `time_scale` / `quiesce_grace_ms` return a descriptive
-/// [`ExecConfigError`] instead of being clamped silently — or worse,
-/// panicking deep inside a worker.
+/// `window_ms` / `time_scale` / `gc_interval_ms` / `quiesce_grace_ms`
+/// return a descriptive [`ExecConfigError`] instead of being clamped
+/// silently — or worse, panicking deep inside a worker.
 pub fn execute(
     topology: &Topology,
     dist: impl FnMut(NodeId, NodeId) -> f64,
@@ -462,8 +476,9 @@ mod tests {
         // caller doing `x % shards` arithmetic would panic; a
         // non-positive or NaN time_scale was swapped for 1.0 by the
         // clock, and such a window_ms folded every tuple into one
-        // window in release builds. Each must now fail loudly at the
-        // `execute` boundary with a descriptive error.
+        // window in release builds; a non-positive gc_interval_ms ran
+        // here but spun the simulator until `max_events`. Each must now
+        // fail loudly at the `execute` boundary with a descriptive error.
         let (t, q) = world(1000.0, 1000.0, 1000.0);
         let plan = q.resolve();
         let p = sink_based(&q, &plan);
@@ -471,6 +486,10 @@ mod tests {
         let base = fast_cfg(100.0);
         let window = |window_ms| ExecConfig { window_ms, ..base };
         let scale = |time_scale| ExecConfig { time_scale, ..base };
+        let gc = |gc_interval_ms| ExecConfig {
+            gc_interval_ms,
+            ..base
+        };
         for (cfg, want) in [
             (
                 ExecConfig { shards: 0, ..base },
@@ -484,6 +503,10 @@ mod tests {
             (scale(-8.0), ExecConfigError::NonPositiveTimeScale),
             (scale(f64::NAN), ExecConfigError::NonPositiveTimeScale),
             (scale(f64::INFINITY), ExecConfigError::NonPositiveTimeScale),
+            (gc(0.0), ExecConfigError::NonPositiveGcInterval),
+            (gc(-50.0), ExecConfigError::NonPositiveGcInterval),
+            (gc(f64::NAN), ExecConfigError::NonPositiveGcInterval),
+            (gc(f64::INFINITY), ExecConfigError::NonPositiveGcInterval),
             (
                 ExecConfig {
                     key_space: 0,

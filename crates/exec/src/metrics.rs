@@ -26,10 +26,8 @@
 //! are *derived at read time* from pairs of monotonic counters and the
 //! pacers' `busy_until`, so they cost the hot path nothing at all.
 //! Latency and per-batch service time go into fixed-bucket log-scale
-//! histograms ([`HistogramSnapshot`]); control-plane milestones (epoch
-//! arm → quiesce → resume, generation spawns, sampled shed events) go
-//! into a bounded trace ring ([`TraceEvent`]) with monotonic virtual +
-//! wall timestamps.
+//! histograms ([`HistogramSnapshot`]); completed reconfiguration epochs
+//! are published as their [`EpochStats`].
 //!
 //! Reads are wait-free for writers: [`MetricsRegistry::snapshot`] loads
 //! each atomic individually (`Relaxed`), so a snapshot is a consistent
@@ -40,7 +38,6 @@
 //! contract a sampling controller needs, and what the telemetry tests
 //! pin across live reconfigurations at every shard count.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -284,7 +281,7 @@ impl ExecResult {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry plane: instruments, histograms, trace ring, registry.
+// Telemetry plane: instruments, histograms, registry.
 // ---------------------------------------------------------------------------
 
 /// Number of log₂ buckets in a `LogHistogram`. Bucket `i` covers
@@ -438,68 +435,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// One structured control-plane trace event. Timestamps are monotonic:
-/// `at_ms` is virtual time (the clock the data plane runs on), `wall_ms`
-/// is real time since launch.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// Sequence number (monotonic, gap-free until the ring wraps).
-    pub seq: u64,
-    /// Virtual timestamp (ms since launch).
-    pub at_ms: f64,
-    /// Wall-clock timestamp (ms since launch).
-    pub wall_ms: f64,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Trace-event taxonomy: epoch lifecycle spans from the control plane,
-/// generation spawn/park, and sampled shed events.
-#[derive(Debug, Clone)]
-pub enum TraceKind {
-    /// An epoch barrier was armed at every source.
-    EpochArm {
-        /// Epoch number (1-based).
-        epoch: u64,
-        /// Virtual time of the barrier.
-        epoch_ms: f64,
-    },
-    /// One shard of the outgoing generation reported quiesced.
-    ShardQuiesced {
-        /// Flat shard index within its generation.
-        flat: usize,
-        /// Epoch it quiesced at.
-        epoch: u64,
-    },
-    /// A new shard generation was spawned (at launch and per epoch).
-    GenerationSpawn {
-        /// Generation number (0 at launch).
-        generation: u64,
-        /// Number of shard workers in the generation.
-        shard_workers: usize,
-    },
-    /// Sources resumed after a completed reconfiguration.
-    EpochResume {
-        /// Epoch number.
-        epoch: u64,
-        /// Join groups migrated into the new generation.
-        migrated_groups: usize,
-        /// Buffered tuples migrated.
-        migrated_tuples: usize,
-        /// Wall-clock handoff time (quiesce → resume), ms.
-        handoff_wall_ms: f64,
-    },
-    /// Load shedding sampled at power-of-two totals (1, 2, 4, 8, …) so
-    /// a shedding run traces O(log drops) events, not O(drops).
-    Shed {
-        /// Total dropped count at the time of the event.
-        dropped: u64,
-    },
-}
-
-/// Capacity of the trace ring; older events are discarded first.
-const TRACE_RING_CAP: usize = 4096;
-
 /// Per-source instrument: resolved once at source spawn.
 #[derive(Debug)]
 pub(crate) struct SourceInstr {
@@ -607,27 +542,15 @@ impl SinkInstr {
     }
 }
 
-/// Count a shed tuple: bump the run-wide counter and, when a registry
-/// is attached, emit a rate-limited trace event at power-of-two totals
-/// (each total is returned by exactly one `fetch_add`, so concurrent
-/// shedders never double-trace).
+/// Count one tuple shed by a bounded node queue.
 #[inline]
-pub(crate) fn count_drop(counters: &Counters, registry: Option<&MetricsRegistry>) {
-    // ORDERING: fetch_add is atomic regardless of ordering, so each
-    // power-of-two total is still returned to exactly one shedder;
-    // nothing else reads the counter mid-run for control decisions.
-    let total = counters.dropped.fetch_add(1, Ordering::Relaxed) + 1;
-    if let Some(r) = registry {
-        if total.is_power_of_two() {
-            r.trace(TraceKind::Shed { dropped: total });
-        }
-    }
+pub(crate) fn count_drop(counters: &Counters) {
+    Counters::bump(&counters.dropped, 1);
 }
 
 /// Pre-resolved telemetry handles for one source worker.
 #[derive(Clone, Default)]
 pub(crate) struct SourceTelemetry {
-    pub registry: Option<Arc<MetricsRegistry>>,
     pub instr: Option<Arc<SourceInstr>>,
     /// Send-side instruments of the *current* shard generation, indexed
     /// by flat shard id; swapped on every `Resume`.
@@ -640,13 +563,8 @@ pub(crate) struct SourceTelemetry {
 }
 
 impl SourceTelemetry {
-    pub(crate) fn new(
-        registry: Arc<MetricsRegistry>,
-        instr: Arc<SourceInstr>,
-        tx_instr: Vec<Arc<ShardInstr>>,
-    ) -> Self {
+    pub(crate) fn new(instr: Arc<SourceInstr>, tx_instr: Vec<Arc<ShardInstr>>) -> Self {
         SourceTelemetry {
-            registry: Some(registry),
             instr: Some(instr),
             tx_instr,
             pending_emit: std::cell::Cell::new(0),
@@ -680,11 +598,6 @@ impl SourceTelemetry {
         if let Some(i) = self.tx_instr.get(flat) {
             i.on_send(tuples);
         }
-    }
-
-    #[inline]
-    pub(crate) fn on_drop(&self, counters: &Counters) {
-        count_drop(counters, self.registry.as_deref());
     }
 }
 
@@ -729,8 +642,6 @@ pub struct MetricsRegistry {
     sink: Arc<SinkInstr>,
     latency: LogHistogram,
     service: LogHistogram,
-    trace: Mutex<VecDeque<TraceEvent>>,
-    trace_seq: AtomicU64,
     epochs: Mutex<Vec<EpochStats>>,
     /// Set by the control plane once every worker has joined and all
     /// counts are final; the subscription sampler sends one last
@@ -751,7 +662,7 @@ impl MetricsRegistry {
         pacers: Arc<Vec<NodePacer>>,
     ) -> Arc<Self> {
         // lint: allow(lock, the registry's mutexes guard *roster*
-        // state — instrument lists, the trace ring, epoch stats —
+        // state — instrument lists and epoch stats —
         // touched at spawn/reconfiguration/scrape time; the per-tuple
         // instruments above them are plain atomics, DESIGN.md §8)
         Arc::new(MetricsRegistry {
@@ -763,8 +674,6 @@ impl MetricsRegistry {
             sink: Arc::new(SinkInstr::default()),
             latency: LogHistogram::new(),
             service: LogHistogram::new(),
-            trace: Mutex::new(VecDeque::new()),
-            trace_seq: AtomicU64::new(0),
             epochs: Mutex::new(Vec::new()),
             finished: AtomicBool::new(false),
         })
@@ -831,28 +740,6 @@ impl MetricsRegistry {
         self.service.record_ms(ms);
     }
 
-    /// Append a trace event (drop-oldest past [`TRACE_RING_CAP`]).
-    pub(crate) fn trace(&self, kind: TraceKind) {
-        // ORDERING: seq only needs uniqueness and rough monotonicity
-        // for consumers ordering the ring; fetch_add gives both.
-        let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        let ev = TraceEvent {
-            seq,
-            at_ms: self.clock.now_ms(),
-            wall_ms: self.clock.wall_ms(),
-            kind,
-        };
-        // lint: allow(lock, trace events are rate-limited control
-        // moments — epoch edges, power-of-two shed totals — never the
-        // per-tuple path) allow(panic, poisoned ring — see
-        // register_source)
-        let mut ring = self.trace.lock().expect("registry poisoned");
-        if ring.len() == TRACE_RING_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(ev);
-    }
-
     pub(crate) fn push_epoch(&self, stats: EpochStats) {
         // lint: allow(lock, once per reconfiguration epoch)
         // allow(panic, poisoned roster — see register_source)
@@ -870,18 +757,6 @@ impl MetricsRegistry {
     pub(crate) fn is_finished(&self) -> bool {
         // ORDERING: Acquire half of the `finish` pairing above.
         self.finished.load(Ordering::Acquire)
-    }
-
-    /// Drain-free copy of the trace ring, oldest first.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        // lint: allow(lock, scrape-side read of the rate-limited
-        // ring) allow(panic, poisoned ring — see register_source)
-        self.trace
-            .lock()
-            .expect("registry poisoned")
-            .iter()
-            .cloned()
-            .collect()
     }
 
     /// Build a monotonic snapshot of every instrument. Each atomic is
@@ -960,7 +835,6 @@ impl MetricsRegistry {
             latency: self.latency.snapshot(),
             service: self.service.snapshot(),
             epochs: self.epochs.lock().expect("registry poisoned").clone(),
-            trace_seq: self.trace_seq.load(Ordering::Relaxed),
         }
     }
 }
@@ -1099,8 +973,6 @@ pub struct MetricsSnapshot {
     pub service: HistogramSnapshot,
     /// Completed reconfiguration epochs so far.
     pub epochs: Vec<EpochStats>,
-    /// Trace-event sequence number (events recorded so far).
-    pub trace_seq: u64,
 }
 
 /// Format a float for export: fixed 3-decimal, non-finite → 0.
@@ -1148,7 +1020,6 @@ impl MetricsSnapshot {
             latency: HistogramSnapshot::default(),
             service: HistogramSnapshot::default(),
             epochs: epochs.to_vec(),
-            trace_seq: 0,
         }
     }
 
@@ -1179,11 +1050,7 @@ impl MetricsSnapshot {
             jnum(self.service.quantile(0.99)),
             self.service.count(),
         ));
-        s.push_str(&format!(
-            ",\"epochs\":{},\"trace_seq\":{}",
-            self.epochs.len(),
-            self.trace_seq
-        ));
+        s.push_str(&format!(",\"epochs\":{}", self.epochs.len()));
         s.push_str(",\"shards\":[");
         for (i, sh) in self.shards.iter().enumerate() {
             if i > 0 {
@@ -1363,29 +1230,10 @@ mod tests {
         let pacers = Arc::new(vec![NodePacer::new(100.0, 250.0)]);
         let reg = MetricsRegistry::new(clock, counters, pacers);
         reg.register_source(0, 0);
-        reg.trace(TraceKind::GenerationSpawn {
-            generation: 0,
-            shard_workers: 2,
-        });
         let snap = reg.snapshot();
         let json = snap.to_json_line();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(!json.contains('\n'), "JSON-lines record must be one line");
         assert!(json.contains("\"emitted\":0"));
-        assert_eq!(reg.trace_events().len(), 1);
-    }
-
-    #[test]
-    fn shed_traces_sample_power_of_two_totals() {
-        let clock = VirtualClock::start(1000.0);
-        let counters = Arc::new(Counters::default());
-        let pacers = Arc::new(Vec::new());
-        let reg = MetricsRegistry::new(clock, Arc::clone(&counters), pacers);
-        for _ in 0..100 {
-            count_drop(&counters, Some(&reg));
-        }
-        // Totals 1, 2, 4, 8, 16, 32, 64 → 7 events for 100 drops.
-        assert_eq!(reg.trace_events().len(), 7);
-        assert_eq!(counters.dropped.load(Ordering::Relaxed), 100);
     }
 }

@@ -364,7 +364,7 @@ pub(crate) fn run_source(
             // Ingestion costs one service slot on the source node; a
             // saturated source sheds the sample.
             let Some(ingest_done) = pacers[src.node].serve(t) else {
-                tele.on_drop(counters);
+                count_drop(counters);
                 t += src.interval_ms;
                 continue;
             };
@@ -395,7 +395,7 @@ pub(crate) fn run_source(
                         match pacers[seg.node].serve(deliver_at) {
                             Some(done) => deliver_at = done,
                             None => {
-                                tele.on_drop(counters);
+                                count_drop(counters);
                                 delivered = false;
                                 break;
                             }
@@ -506,11 +506,7 @@ pub(crate) fn run_admitted_source(
             tx_instr,
         }) => {
             let tele = match &registry {
-                Some(r) => SourceTelemetry::new(
-                    std::sync::Arc::clone(r),
-                    r.register_source(src.index, src.node),
-                    tx_instr,
-                ),
+                Some(r) => SourceTelemetry::new(r.register_source(src.index, src.node), tx_instr),
                 None => SourceTelemetry::disabled(),
             };
             run_source(src, cfg, clock, pacers, counters, txs, shards, ctrl, tele)
@@ -541,7 +537,6 @@ pub(crate) fn run_sink(
     if producers == 0 {
         return records;
     }
-    let registry = tele.as_ref().map(|t| &*t.registry);
     while let Some(msg) = rx.recv() {
         match msg {
             SinkMsg::Batch { instance, outputs } => {
@@ -557,7 +552,7 @@ pub(crate) fn run_sink(
                         match pacers[sink_node].serve(o.deliver_at) {
                             Some(done) => done,
                             None => {
-                                count_drop(counters, registry);
+                                count_drop(counters);
                                 continue;
                             }
                         }

@@ -69,10 +69,6 @@ fn assert_monotonic(prev: &MetricsSnapshot, next: &MetricsSnapshot, tag: &str) {
     );
     assert!(next.dropped >= prev.dropped, "{tag}: dropped decreased");
     assert!(
-        next.trace_seq >= prev.trace_seq,
-        "{tag}: trace_seq decreased"
-    );
-    assert!(
         next.latency.count() >= prev.latency.count(),
         "{tag}: latency count decreased"
     );

@@ -9,14 +9,14 @@
 //! least `search_k` candidates, then rank them by exact distance.
 //!
 //! Recall is tunable via the number of trees and `search_k`, traded
-//! against speed relative to the exact [`crate::KdTree`].
+//! against speed relative to the exact [`crate::CapacityKdTree`].
 
 use std::collections::BinaryHeap;
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-use crate::{Coord, Neighbor, NnIndex};
+use crate::{Coord, Neighbor};
 
 /// Tuning parameters for [`AnnoyIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -194,12 +194,20 @@ impl Ord for OrdF64 {
     }
 }
 
-impl NnIndex for AnnoyIndex {
-    fn len(&self) -> usize {
+impl AnnoyIndex {
+    /// Number of indexed points.
+    pub fn len(&self) -> usize {
         self.points.len()
     }
 
-    fn knn(&self, query: &Coord, k: usize) -> Vec<Neighbor> {
+    /// Whether the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// Up to `k` approximate nearest neighbours of `query`, closest
+    /// first.
+    pub fn knn(&self, query: &Coord, k: usize) -> Vec<Neighbor> {
         if k == 0 || self.points.is_empty() {
             return Vec::new();
         }
@@ -262,17 +270,7 @@ impl NnIndex for AnnoyIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KdTree;
-
-    fn random_points(n: usize, dim: usize, seed: u64) -> Vec<Coord> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                let v: Vec<f64> = (0..dim).map(|_| rng.gen_range(-100.0..100.0)).collect();
-                Coord::from_slice(&v)
-            })
-            .collect()
-    }
+    use crate::test_util::{brute_knn, random_points};
 
     #[test]
     fn empty_index() {
@@ -285,10 +283,9 @@ mod tests {
     fn tiny_set_is_exact() {
         let points = random_points(10, 2, 1);
         let idx = AnnoyIndex::build(&points, AnnoyParams::default());
-        let exact = KdTree::build(&points);
         let q = Coord::xy(5.0, 5.0);
         let got = idx.knn(&q, 3);
-        let want = exact.knn(&q, 3);
+        let want = brute_knn(&points, &q, 3);
         assert_eq!(got.len(), 3);
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.index, w.index);
@@ -311,7 +308,6 @@ mod tests {
             }
         }
         let idx = AnnoyIndex::build(&points, AnnoyParams::default());
-        let exact = KdTree::build(&points);
         let k = 10;
         let mut hits = 0usize;
         let mut total = 0usize;
@@ -319,7 +315,7 @@ mod tests {
             let q = Coord::xy(rng.gen_range(0.0..100.0), rng.gen_range(-50.0..50.0));
             let approx: std::collections::HashSet<usize> =
                 idx.knn(&q, k).into_iter().map(|n| n.index).collect();
-            for n in exact.knn(&q, k) {
+            for n in brute_knn(&points, &q, k) {
                 total += 1;
                 if approx.contains(&n.index) {
                     hits += 1;

@@ -278,6 +278,7 @@ impl CapacityKdTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{brute_knn, random_points};
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
@@ -381,5 +382,80 @@ mod tests {
         assert!(tree.is_empty());
         assert!(tree.nearest_capable(&Coord::xy(0.0, 0.0), 1.0).is_none());
         assert!(tree.knn_capable(&Coord::xy(0.0, 0.0), 3, 1.0).is_empty());
+    }
+
+    /// A demand every point meets: `knn_capable` is then plain k-NN.
+    const ANY: f64 = f64::NEG_INFINITY;
+
+    fn uncapped(points: &[Coord]) -> CapacityKdTree {
+        CapacityKdTree::build(points, &vec![0.0; points.len()])
+    }
+
+    fn assert_knn_exact(points: &[Coord], queries: &[Coord], ks: &[usize]) {
+        let tree = uncapped(points);
+        for q in queries {
+            for &k in ks {
+                let got = tree.knn_capable(q, k, ANY);
+                let want = brute_knn(points, q, k);
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    assert!((g.dist - w.dist).abs() < 1e-9, "k={k} got {g:?} want {w:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_tree_returns_nothing() {
+        let tree = uncapped(&[]);
+        assert!(tree.is_empty());
+        assert!(tree.knn_capable(&Coord::xy(0.0, 0.0), 3, ANY).is_empty());
+        assert!(tree.nearest_capable(&Coord::xy(0.0, 0.0), ANY).is_none());
+    }
+
+    #[test]
+    fn k_zero_returns_nothing() {
+        let tree = uncapped(&[Coord::xy(1.0, 1.0)]);
+        assert!(tree.knn_capable(&Coord::xy(0.0, 0.0), 0, ANY).is_empty());
+    }
+
+    #[test]
+    fn knn_matches_brute_force_2d() {
+        assert_knn_exact(
+            &random_points(500, 2, 42),
+            &random_points(50, 2, 7),
+            &[1, 3, 10, 25],
+        );
+    }
+
+    #[test]
+    fn knn_matches_brute_force_4d() {
+        assert_knn_exact(&random_points(300, 4, 9), &random_points(20, 4, 11), &[7]);
+    }
+
+    #[test]
+    fn k_larger_than_point_count_returns_all() {
+        let points = random_points(10, 2, 3);
+        let got = uncapped(&points).knn_capable(&Coord::xy(0.0, 0.0), 50, ANY);
+        assert_eq!(got.len(), 10);
+        for w in got.windows(2) {
+            assert!(w[0].dist <= w[1].dist);
+        }
+    }
+
+    #[test]
+    fn duplicate_points_are_all_returned() {
+        let p = Coord::xy(1.0, 1.0);
+        let got = uncapped(&[p, p, p, Coord::xy(5.0, 5.0)]).knn_capable(&p, 3, ANY);
+        assert_eq!(got.len(), 3);
+        assert!(got.iter().all(|n| n.dist == 0.0));
+    }
+
+    #[test]
+    fn collinear_points_are_handled() {
+        let points: Vec<Coord> = (0..100).map(|i| Coord::xy(i as f64, 0.0)).collect();
+        let got = uncapped(&points).knn_capable(&Coord::xy(50.2, 0.0), 3, ANY);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[0].index, 50);
     }
 }

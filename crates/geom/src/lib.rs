@@ -10,8 +10,10 @@
 //! * [`median`] — solvers for the geometric median (Weiszfeld fixed point
 //!   and plain gradient descent, the paper's Eq. 6) plus a min-max
 //!   (smallest enclosing ball) alternative used for ablations,
-//! * [`kdtree`] — an exact k-d tree for k-nearest-neighbour candidate
-//!   search on small and medium topologies,
+//! * [`kdcap`] — the exact k-d tree for k-nearest-neighbour candidate
+//!   search on small and medium topologies, with per-subtree capacity
+//!   maxima so "nearest node that can still host x" prunes drained
+//!   regions,
 //! * [`annoy`] — an Annoy-style random-projection forest for approximate
 //!   k-NN on very large topologies (the paper uses the Annoy library for
 //!   topologies beyond a few thousand nodes).
@@ -24,13 +26,11 @@
 pub mod annoy;
 pub mod coord;
 pub mod kdcap;
-pub mod kdtree;
 pub mod median;
 
 pub use annoy::{AnnoyIndex, AnnoyParams};
 pub use coord::{Coord, MAX_DIM};
 pub use kdcap::CapacityKdTree;
-pub use kdtree::KdTree;
 pub use median::{
     geometric_median, geometric_median_gd, minmax_center, weighted_geometric_median, GdOptions,
     MedianOptions, MedianResult,
@@ -62,18 +62,37 @@ impl Ord for Neighbor {
     }
 }
 
-/// Common interface over the exact ([`KdTree`]) and approximate
-/// ([`AnnoyIndex`]) nearest-neighbour indexes so the optimizer can switch
-/// between them based on topology size.
-pub trait NnIndex {
-    /// Number of indexed points.
-    fn len(&self) -> usize;
+/// Exact references the index tests compare against.
+#[cfg(test)]
+mod test_util {
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
 
-    /// Whether the index is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    use crate::{Coord, Neighbor};
+
+    /// The `k` nearest points by full scan, closest first.
+    pub(crate) fn brute_knn(points: &[Coord], query: &Coord, k: usize) -> Vec<Neighbor> {
+        let mut all: Vec<Neighbor> = points
+            .iter()
+            .enumerate()
+            .map(|(index, p)| Neighbor {
+                index,
+                dist: p.dist(query),
+            })
+            .collect();
+        all.sort_unstable();
+        all.truncate(k);
+        all
     }
 
-    /// Return up to `k` nearest neighbours of `query`, closest first.
-    fn knn(&self, query: &Coord, k: usize) -> Vec<Neighbor>;
+    /// `n` points uniform in `[-100, 100)^dim`.
+    pub(crate) fn random_points(n: usize, dim: usize, seed: u64) -> Vec<Coord> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let v: Vec<f64> = (0..dim).map(|_| rng.gen_range(-100.0..100.0)).collect();
+                Coord::from_slice(&v)
+            })
+            .collect()
+    }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometric primitives.
 
-use nova_geom::{geometric_median, minmax_center, Coord, KdTree, MedianOptions, Neighbor, NnIndex};
+use nova_geom::{geometric_median, minmax_center, CapacityKdTree, Coord, MedianOptions, Neighbor};
 use proptest::prelude::*;
 
 fn coord2_strategy() -> impl Strategy<Value = Coord> {
@@ -55,11 +55,12 @@ proptest! {
         }
     }
 
-    /// k-d tree k-NN results always match a brute-force scan.
+    /// The planner's k-d tree, asked for k-NN under a demand every point
+    /// meets, always matches a brute-force scan.
     #[test]
     fn kdtree_matches_brute_force(points in coords_strategy(120), q in coord2_strategy(), k in 1usize..20) {
-        let tree = KdTree::build(&points);
-        let got = tree.knn(&q, k);
+        let tree = CapacityKdTree::build(&points, &vec![0.0; points.len()]);
+        let got = tree.knn_capable(&q, k, f64::NEG_INFINITY);
         let mut want: Vec<Neighbor> = points
             .iter()
             .enumerate()

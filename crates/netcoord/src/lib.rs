@@ -9,9 +9,9 @@
 //!   from a small per-node neighbor set (m ≪ |V| measurements per node)
 //!   and is the scalable default; it also supports incremental node
 //!   addition/removal for re-optimization (§3.5),
-//! * [`mds`] — the dense formulations: classical MDS (double-centering +
-//!   power iteration) and SMACOF stress majorization, tractable for
-//!   testbed-scale matrices and used to validate Vivaldi's output.
+//! * [`mds`] — the dense formulation: classical MDS (double-centering +
+//!   power iteration), tractable for testbed-scale matrices and used to
+//!   validate Vivaldi's output.
 //!
 //! [`error`] quantifies embedding quality (MAE, median relative error,
 //! normalized stress) — the metrics behind the paper's neighbor-set size
@@ -24,7 +24,7 @@ pub mod mds;
 pub mod vivaldi;
 
 pub use error::{EmbeddingError, ErrorSample};
-pub use mds::{classical_mds, smacof, SmacofOptions};
+pub use mds::classical_mds;
 pub use vivaldi::{embed_new_node, Vivaldi, VivaldiConfig};
 
 use nova_geom::Coord;

@@ -1,18 +1,14 @@
-//! Dense multidimensional scaling solvers.
+//! Dense multidimensional scaling.
 //!
 //! The paper's Eq. 5 states cost-space construction as the MDS problem of
 //! finding an embedding whose induced distance matrix approximates the
 //! latency matrix `A` in Frobenius norm. For testbed-scale matrices this
-//! module solves it directly:
+//! module solves it directly with [`classical_mds`], Torgerson's
+//! classical scaling: double-center the squared-distance matrix and take
+//! the top-d eigenpairs (computed here with power iteration + deflation,
+//! no external linear-algebra crate).
 //!
-//! * [`classical_mds`] — Torgerson's classical scaling: double-center the
-//!   squared-distance matrix and take the top-d eigenpairs (computed here
-//!   with power iteration + deflation, no external linear-algebra crate),
-//! * [`smacof`] — iterative stress majorization via the Guttman
-//!   transform, which directly minimizes the (unsquared) stress and
-//!   typically refines the classical solution on non-metric data.
-//!
-//! Vivaldi (the scalable solver) is validated against these in tests.
+//! Vivaldi (the scalable solver) is validated against it in tests.
 
 use nova_geom::Coord;
 use nova_topology::DenseRtt;
@@ -130,100 +126,6 @@ fn normalize(v: &mut [f64]) -> f64 {
     norm
 }
 
-/// Options for the SMACOF stress-majorization solver.
-#[derive(Debug, Clone, Copy)]
-pub struct SmacofOptions {
-    /// Embedding dimensionality.
-    pub dim: usize,
-    /// Maximum Guttman-transform iterations.
-    pub max_iters: usize,
-    /// Relative stress-improvement threshold for early stopping.
-    pub tolerance: f64,
-    /// Seed for the random initialization (ignored when `init` is given).
-    pub seed: u64,
-}
-
-impl Default for SmacofOptions {
-    fn default() -> Self {
-        SmacofOptions {
-            dim: 2,
-            max_iters: 300,
-            tolerance: 1e-7,
-            seed: 0x5aac0f,
-        }
-    }
-}
-
-/// SMACOF: minimize raw stress `Σ_{i<j} (d_ij(X) − A_ij)²` via the Guttman
-/// transform. Optionally warm-started from `init` (e.g. the classical MDS
-/// solution); otherwise starts from random coordinates.
-pub fn smacof(matrix: &DenseRtt, opts: SmacofOptions, init: Option<Vec<Coord>>) -> Vec<Coord> {
-    let n = matrix.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut x: Vec<Coord> = match init {
-        Some(v) => {
-            assert_eq!(v.len(), n, "init length mismatch");
-            v
-        }
-        None => (0..n)
-            .map(|_| {
-                let mut c = Coord::zero(opts.dim);
-                for d in 0..opts.dim {
-                    c[d] = rng.gen_range(-100.0..100.0);
-                }
-                c
-            })
-            .collect(),
-    };
-    if n == 1 {
-        return x;
-    }
-    let mut prev_stress = stress(&x, matrix);
-    let mut next = vec![Coord::zero(x[0].dim()); n];
-    for _ in 0..opts.max_iters {
-        // Guttman transform with uniform weights:
-        // x_i ← (1/n) Σ_j [ x_j + A_ij · (x_i − x_j) / d_ij(X) ].
-        for i in 0..n {
-            let mut acc = Coord::zero(x[0].dim());
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let d = x[i].dist(&x[j]);
-                let mut term = x[j];
-                if d > 1e-12 {
-                    term += (x[i] - x[j]) * (matrix.get(i, j) / d);
-                }
-                acc += term;
-            }
-            next[i] = acc * (1.0 / (n as f64 - 1.0));
-        }
-        std::mem::swap(&mut x, &mut next);
-        let s = stress(&x, matrix);
-        if prev_stress - s <= opts.tolerance * prev_stress.max(1e-12) {
-            break;
-        }
-        prev_stress = s;
-    }
-    x
-}
-
-/// Raw stress `Σ_{i<j} (d_ij(X) − A_ij)²`.
-pub fn stress(coords: &[Coord], matrix: &DenseRtt) -> f64 {
-    let n = coords.len();
-    let mut acc = 0.0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let diff = coords[i].dist(&coords[j]) - matrix.get(i, j);
-            acc += diff * diff;
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +137,19 @@ mod tests {
             let (x2, y2) = pts[j];
             (x1 - x2).hypot(y1 - y2)
         })
+    }
+
+    /// Raw stress `Σ_{i<j} (d_ij(X) − A_ij)²`.
+    fn stress(coords: &[Coord], matrix: &DenseRtt) -> f64 {
+        let n = coords.len();
+        let mut acc = 0.0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let diff = coords[i].dist(&coords[j]) - matrix.get(i, j);
+                acc += diff * diff;
+            }
+        }
+        acc
     }
 
     fn max_pair_error(coords: &[Coord], m: &DenseRtt) -> f64 {
@@ -272,41 +187,6 @@ mod tests {
         let m = planar_matrix(&[(0.0, 0.0), (3.0, 4.0)]);
         let c = classical_mds(&m, 2, 1);
         assert!((c[0].dist(&c[1]) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn smacof_reduces_stress_from_random_start() {
-        let pts = [(0.0, 0.0), (8.0, 1.0), (4.0, 9.0), (1.0, 4.0), (9.0, 6.0)];
-        let m = planar_matrix(&pts);
-        let mut rng = StdRng::seed_from_u64(2);
-        let random: Vec<Coord> = (0..5)
-            .map(|_| Coord::xy(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0)))
-            .collect();
-        let before = stress(&random, &m);
-        let solved = smacof(&m, SmacofOptions::default(), Some(random));
-        let after = stress(&solved, &m);
-        assert!(after < before * 0.01, "stress {before} -> {after}");
-    }
-
-    #[test]
-    fn smacof_refines_classical_solution_under_noise() {
-        // Perturb a planar metric so it is no longer exactly embeddable;
-        // SMACOF should not make the classical solution worse.
-        let pts: Vec<(f64, f64)> = (0..12)
-            .map(|i| ((i * 7 % 12) as f64, (i * 5 % 11) as f64))
-            .collect();
-        let clean = planar_matrix(&pts);
-        let noisy = DenseRtt::from_fn(12, |i, j| {
-            clean.get(i, j) * (1.0 + 0.2 * (((i * 31 + j * 17) % 10) as f64 / 10.0 - 0.5))
-        });
-        let classical = classical_mds(&noisy, 2, 3);
-        let s_classical = stress(&classical, &noisy);
-        let refined = smacof(&noisy, SmacofOptions::default(), Some(classical));
-        let s_refined = stress(&refined, &noisy);
-        assert!(
-            s_refined <= s_classical + 1e-9,
-            "{s_classical} -> {s_refined}"
-        );
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl Dataflow {
     pub fn from_baseline(query: &JoinQuery, placement: &Placement) -> Dataflow {
         Dataflow::build(query, placement, |_| 1.0)
     }
-
-    /// Total expected emission rate across all sources (tuples/s).
-    pub fn total_source_rate(&self) -> f64 {
-        self.sources.iter().map(|s| s.rate).sum()
-    }
 }
 
 /// One live plan reconfiguration (§3.5 on a *running* dataflow): at
@@ -320,7 +315,7 @@ mod tests {
             assert_eq!(s.feeds[0].partition_rates.len(), 1);
             assert_eq!(s.feeds[0].routes[0].len(), 1);
         }
-        assert_eq!(df.total_source_rate(), 60.0);
+        assert_eq!(df.sources.iter().map(|s| s.rate).sum::<f64>(), 60.0);
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub struct SimConfig {
     /// (models the join predicate's selectivity beyond the window/region
     /// condition; keeps output volume bounded).
     pub selectivity: f64,
-    /// Garbage-collection cadence for window state.
+    /// Garbage-collection cadence for window state. Must be positive
+    /// and finite: the GC event re-arms itself this far ahead.
     pub gc_interval_ms: f64,
     /// RNG seed (partition assignment).
     pub seed: u64,
@@ -311,6 +312,9 @@ impl Horizon {
 /// drop-free run this result is an exact prefix of that one: equal
 /// `emitted`, and `outputs` equal to its outputs with
 /// `arrival_ms <= duration_ms`.
+///
+/// # Panics
+/// Panics if `cfg.gc_interval_ms` is not positive and finite.
 pub fn simulate(
     topology: &Topology,
     dist: impl FnMut(NodeId, NodeId) -> f64,
@@ -404,6 +408,9 @@ pub fn admission_time(epoch_ms: f64, interval_ms: f64, source: usize, n_sources:
 ///   tuples probe the migrated state;
 /// * node capacity updates take effect at the switch (backlogs carry
 ///   over at their old service charge, as in the executor's pacers).
+///
+/// # Panics
+/// Panics if `cfg.gc_interval_ms` is not positive and finite.
 pub fn simulate_reconfigured(
     topology: &Topology,
     dist: impl FnMut(NodeId, NodeId) -> f64,
@@ -417,6 +424,11 @@ pub fn simulate_reconfigured(
 /// The event loop behind both entry points: one phase per plan, each
 /// drained before the switch that ends it; `horizon` decides what
 /// happens to work past `cfg.duration_ms`.
+///
+/// # Panics
+/// Panics if `cfg.gc_interval_ms` is not positive and finite: the GC
+/// event would re-arm at (or before) its own instant and the loop would
+/// spin until `max_events`.
 fn run(
     topology: &Topology,
     mut dist: impl FnMut(NodeId, NodeId) -> f64,
@@ -425,6 +437,11 @@ fn run(
     cfg: &SimConfig,
     horizon: Horizon,
 ) -> SimResult {
+    assert!(
+        cfg.gc_interval_ms > 0.0 && cfg.gc_interval_ms.is_finite(),
+        "SimConfig::gc_interval_ms must be positive and finite, got {}",
+        cfg.gc_interval_ms
+    );
     let fresh_buffers = |n: usize| -> Vec<WindowBuffers> {
         std::iter::repeat_with(WindowBuffers::new).take(n).collect()
     };
@@ -838,6 +855,23 @@ mod tests {
         assert!(res.mean_latency() >= 10.0, "mean {}", res.mean_latency());
         assert!(res.mean_latency() < 300.0, "mean {}", res.mean_latency());
         assert!(!res.truncated);
+    }
+
+    #[test]
+    #[should_panic(expected = "gc_interval_ms must be positive and finite")]
+    fn zero_gc_interval_panics_instead_of_spinning() {
+        // A zero interval re-arms the GC event at its own instant, so
+        // without the entry check the loop spins until `max_events`.
+        let (t, q) = world(1000.0, 1000.0, 1000.0);
+        let plan = q.resolve();
+        let df = Dataflow::from_baseline(&q, &sink_based(&q, &plan));
+        let cfg = SimConfig {
+            duration_ms: 100.0,
+            gc_interval_ms: 0.0,
+            max_events: 100_000,
+            ..Default::default()
+        };
+        simulate(&t, flat_dist, &df, &cfg);
     }
 
     #[test]

@@ -210,16 +210,6 @@ impl Topology {
             .map(|n| n.id)
     }
 
-    /// Rebuild the adjacency lists (needed after deserialization, which
-    /// skips the derived adjacency field).
-    pub fn rebuild_adjacency(&mut self) {
-        self.adjacency = vec![Vec::new(); self.nodes.len()];
-        for (i, link) in self.links.iter().enumerate() {
-            self.adjacency[link.a.idx()].push((link.b, i as u32));
-            self.adjacency[link.b.idx()].push((link.a, i as u32));
-        }
-    }
-
     /// Look up a node by label (linear scan; intended for tests and small
     /// hand-built topologies such as the running example).
     pub fn by_label(&self, label: &str) -> Option<NodeId> {
@@ -289,20 +279,5 @@ mod tests {
     fn out_of_range_link_rejected() {
         let mut t = tiny();
         t.add_link(NodeId(0), NodeId(99), 1.0, None);
-    }
-
-    #[test]
-    fn rebuild_adjacency_restores_neighbor_lists() {
-        // Deserialization skips the derived adjacency field; rebuilding it
-        // must reproduce the original neighbor structure.
-        let t = tiny();
-        let mut copy = Topology {
-            nodes: t.nodes.clone(),
-            links: t.links.clone(),
-            adjacency: Vec::new(),
-        };
-        copy.rebuild_adjacency();
-        assert_eq!(copy.neighbors(NodeId(1)).count(), 2);
-        assert_eq!(copy.neighbors(NodeId(0)).count(), 1);
     }
 }

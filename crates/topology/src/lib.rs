@@ -41,7 +41,7 @@ pub use edge_fog_cloud::{
 pub use graph::{Link, Node, NodeId, NodeRole, Topology};
 pub use heterogeneity::{coefficient_of_variation, CapacityDistribution};
 pub use mst::{minimum_spanning_tree, RootedTree};
-pub use routing::{dijkstra, shortest_path, PathResult};
+pub use routing::{dijkstra, PathResult};
 pub use rtt::{DenseRtt, GeoRtt, GraphRtt, LatencyProvider};
 pub use synthetic::{SyntheticParams, SyntheticTopology};
 pub use testbeds::{Testbed, TestbedTopology};

@@ -189,13 +189,6 @@ impl RootedTree {
         acc
     }
 
-    /// Latency of the unique tree path between two members (via their
-    /// LCA).
-    pub fn path_latency(&self, a: NodeId, b: NodeId) -> f64 {
-        let l = self.lca(a, b);
-        self.latency_to_ancestor(a, l) + self.latency_to_ancestor(b, l)
-    }
-
     /// The node sequence from `node` up to `ancestor`, inclusive of both.
     ///
     /// # Panics
@@ -209,23 +202,6 @@ impl RootedTree {
             x = self.parent[x];
             path.push(self.nodes[x]);
         }
-        path
-    }
-
-    /// The node sequence from `node` up to the root.
-    pub fn path_to_root(&self, node: NodeId) -> Vec<NodeId> {
-        self.path_to_ancestor(node, self.root())
-    }
-
-    /// The unique tree path between two members (through their LCA),
-    /// inclusive of both endpoints.
-    pub fn path_between(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
-        let l = self.lca(a, b);
-        let mut path = self.path_to_ancestor(a, l);
-        let mut down = self.path_to_ancestor(b, l);
-        down.pop(); // drop the shared LCA
-        down.reverse();
-        path.extend(down);
         path
     }
 }
@@ -289,8 +265,8 @@ mod tests {
         assert_eq!(tree.lca(NodeId(0), NodeId(6)), NodeId(3));
         // LCA of 0 and 2 is 2 (2 lies on 0's path to the root).
         assert_eq!(tree.lca(NodeId(0), NodeId(2)), NodeId(2));
-        assert_eq!(tree.path_latency(NodeId(0), NodeId(6)), 6.0);
-        assert_eq!(tree.path_latency(NodeId(0), NodeId(2)), 2.0);
+        assert_eq!(tree.latency_to_ancestor(NodeId(6), NodeId(3)), 3.0);
+        assert_eq!(tree.latency_to_ancestor(NodeId(0), NodeId(2)), 2.0);
         assert_eq!(tree.latency_to_ancestor(NodeId(0), NodeId(3)), 3.0);
     }
 
@@ -304,14 +280,10 @@ mod tests {
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
         );
         assert_eq!(
-            tree.path_to_root(NodeId(5)),
+            tree.path_to_ancestor(NodeId(5), tree.root()),
             vec![NodeId(5), NodeId(4), NodeId(3)]
         );
-        assert_eq!(
-            tree.path_between(NodeId(1), NodeId(5)),
-            vec![NodeId(1), NodeId(2), NodeId(3), NodeId(4), NodeId(5)]
-        );
-        assert_eq!(tree.path_between(NodeId(2), NodeId(2)), vec![NodeId(2)]);
+        assert_eq!(tree.path_to_ancestor(NodeId(2), NodeId(2)), vec![NodeId(2)]);
     }
 
     #[test]
@@ -320,7 +292,7 @@ mod tests {
         let edges = minimum_spanning_tree(&ids(4), &p);
         let tree = RootedTree::from_edges(NodeId(0), &edges);
         assert_eq!(tree.lca(NodeId(2), NodeId(2)), NodeId(2));
-        assert_eq!(tree.path_latency(NodeId(2), NodeId(2)), 0.0);
+        assert_eq!(tree.latency_to_ancestor(NodeId(2), NodeId(2)), 0.0);
     }
 
     #[test]

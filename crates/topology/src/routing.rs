@@ -20,24 +20,6 @@ pub struct PathResult {
     pub prev: Vec<Option<NodeId>>,
 }
 
-impl PathResult {
-    /// Reconstruct the path from the source to `target`, inclusive of both
-    /// endpoints. Empty when `target` is unreachable.
-    pub fn path_to(&self, target: NodeId) -> Vec<NodeId> {
-        if !self.dist[target.idx()].is_finite() {
-            return Vec::new();
-        }
-        let mut path = vec![target];
-        let mut cur = target;
-        while let Some(p) = self.prev[cur.idx()] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        path
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct QueueEntry {
     dist: f64,
@@ -95,15 +77,6 @@ pub fn dijkstra(topology: &Topology, source: NodeId) -> PathResult {
     PathResult { dist, prev }
 }
 
-/// Shortest-path latency between two nodes, or `f64::INFINITY` when
-/// disconnected.
-pub fn shortest_path(topology: &Topology, a: NodeId, b: NodeId) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    dijkstra(topology, a).dist[b.idx()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,15 +99,16 @@ mod tests {
     #[test]
     fn shortest_route_is_taken() {
         let (t, [a, _, _, d]) = diamond();
-        assert_eq!(shortest_path(&t, a, d), 2.0);
+        assert_eq!(dijkstra(&t, a).dist[d.idx()], 2.0);
     }
 
     #[test]
     fn path_reconstruction_follows_predecessors() {
         let (t, [a, b, _, d]) = diamond();
         let r = dijkstra(&t, a);
-        assert_eq!(r.path_to(d), vec![a, b, d]);
-        assert_eq!(r.path_to(a), vec![a]);
+        assert_eq!(r.prev[d.idx()], Some(b));
+        assert_eq!(r.prev[b.idx()], Some(a));
+        assert_eq!(r.prev[a.idx()], None);
     }
 
     #[test]
@@ -142,15 +116,15 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_node(NodeRole::Source, 1.0, "a");
         let b = t.add_node(NodeRole::Sink, 1.0, "b");
-        assert_eq!(shortest_path(&t, a, b), f64::INFINITY);
         let r = dijkstra(&t, a);
-        assert!(r.path_to(b).is_empty());
+        assert_eq!(r.dist[b.idx()], f64::INFINITY);
+        assert_eq!(r.prev[b.idx()], None);
     }
 
     #[test]
     fn self_distance_is_zero() {
         let (t, [a, ..]) = diamond();
-        assert_eq!(shortest_path(&t, a, a), 0.0);
+        assert_eq!(dijkstra(&t, a).dist[a.idx()], 0.0);
     }
 
     #[test]
@@ -159,7 +133,7 @@ mod tests {
         let a = t.add_node(NodeRole::Source, 1.0, "a");
         let b = t.add_node(NodeRole::Sink, 1.0, "b");
         t.add_link(a, b, 0.0, None);
-        assert_eq!(shortest_path(&t, a, b), 0.0);
+        assert_eq!(dijkstra(&t, a).dist[b.idx()], 0.0);
     }
 
     #[test]
