@@ -4,8 +4,9 @@
 //! `M[p][q] = 1` means left stream `p` can join with right stream `q`.
 //! For predefined conditions (e.g. joins on region identifiers) the matrix
 //! is known up front; when join validity is uncertain it is initialized
-//! dense and pruned at runtime (§3.6). Stored as a packed bitset so even
-//! large source populations stay compact.
+//! dense and pruned at runtime (§3.6). Stored row-sparse — each row keeps
+//! its set columns in ascending order — so a keyed matrix costs memory in
+//! its set entries, and growing it by a stream (§3.5) is constant time.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,53 +15,60 @@ use crate::types::StreamSpec;
 /// Binary joinability matrix over left (rows) × right (columns) streams.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JoinMatrix {
-    rows: usize,
     cols: usize,
-    bits: Vec<u64>,
+    /// Set columns of each row, ascending.
+    rows: Vec<Vec<u32>>,
 }
 
 impl JoinMatrix {
     /// An all-zero matrix.
     pub fn empty(rows: usize, cols: usize) -> Self {
-        let words = (rows * cols).div_ceil(64);
         JoinMatrix {
-            rows,
             cols,
-            bits: vec![0; words],
+            rows: vec![Vec::new(); rows],
         }
     }
 
     /// A dense (all-ones) matrix — the initialization the paper uses when
     /// joinability is unknown in advance.
     pub fn dense(rows: usize, cols: usize) -> Self {
-        let mut m = JoinMatrix::empty(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                m.set(r, c, true);
-            }
+        let full: Vec<u32> = (0..cols as u32).collect();
+        JoinMatrix {
+            cols,
+            rows: vec![full; rows],
         }
-        m
     }
 
     /// Build from stream keys: `M[p][q] = 1` iff both streams carry equal
     /// keys (e.g. the same region id). Streams without a key join nothing.
     pub fn by_key(left: &[StreamSpec], right: &[StreamSpec]) -> Self {
-        let mut m = JoinMatrix::empty(left.len(), right.len());
-        for (r, l) in left.iter().enumerate() {
-            if let Some(lk) = l.key {
-                for (c, rr) in right.iter().enumerate() {
-                    if rr.key == Some(lk) {
-                        m.set(r, c, true);
-                    }
+        // Right streams grouped by key, columns ascending within a key.
+        let mut keyed: Vec<(u32, u32)> = right
+            .iter()
+            .enumerate()
+            .filter_map(|(c, s)| s.key.map(|k| (k, c as u32)))
+            .collect();
+        keyed.sort_unstable();
+        let rows = left
+            .iter()
+            .map(|l| match l.key {
+                Some(lk) => {
+                    let lo = keyed.partition_point(|&(k, _)| k < lk);
+                    let hi = keyed.partition_point(|&(k, _)| k <= lk);
+                    keyed[lo..hi].iter().map(|&(_, c)| c).collect()
                 }
-            }
+                None => Vec::new(),
+            })
+            .collect();
+        JoinMatrix {
+            cols: right.len(),
+            rows,
         }
-        m
     }
 
     /// Number of rows (left streams).
     pub fn rows(&self) -> usize {
-        self.rows
+        self.rows.len()
     }
 
     /// Number of columns (right streams).
@@ -68,61 +76,48 @@ impl JoinMatrix {
         self.cols
     }
 
-    #[inline]
-    fn bit_index(&self, r: usize, c: usize) -> (usize, u64) {
-        debug_assert!(
-            r < self.rows && c < self.cols,
-            "index ({r},{c}) out of bounds"
-        );
-        let idx = r * self.cols + c;
-        (idx / 64, 1u64 << (idx % 64))
-    }
-
     /// Whether left stream `r` can join right stream `c`.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> bool {
-        let (w, mask) = self.bit_index(r, c);
-        self.bits[w] & mask != 0
+        debug_assert!(c < self.cols, "index ({r},{c}) out of bounds");
+        self.rows[r].binary_search(&(c as u32)).is_ok()
     }
 
     /// Set or clear an entry.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, value: bool) {
-        let (w, mask) = self.bit_index(r, c);
-        if value {
-            self.bits[w] |= mask;
-        } else {
-            self.bits[w] &= !mask;
+        debug_assert!(c < self.cols, "index ({r},{c}) out of bounds");
+        let row = &mut self.rows[r];
+        match (row.binary_search(&(c as u32)), value) {
+            (Err(at), true) => row.insert(at, c as u32),
+            (Ok(at), false) => {
+                row.remove(at);
+            }
+            _ => {}
         }
     }
 
     /// Number of set entries (= join pairs after resolution).
     pub fn count_ones(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// Iterate over all set `(row, col)` entries in row-major order.
     pub fn ones(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.rows)
-            .flat_map(move |r| (0..self.cols).filter_map(move |c| self.get(r, c).then_some((r, c))))
+        self.rows
+            .iter()
+            .enumerate()
+            .flat_map(|(r, cs)| cs.iter().map(move |&c| (r, c as usize)))
     }
 
     /// Grow the matrix by one row (new left stream), all entries zero.
     pub fn push_row(&mut self) {
-        let mut next = JoinMatrix::empty(self.rows + 1, self.cols);
-        for (r, c) in self.ones() {
-            next.set(r, c, true);
-        }
-        *self = next;
+        self.rows.push(Vec::new());
     }
 
     /// Grow the matrix by one column (new right stream), all entries zero.
     pub fn push_col(&mut self) {
-        let mut next = JoinMatrix::empty(self.rows, self.cols + 1);
-        for (r, c) in self.ones() {
-            next.set(r, c, true);
-        }
-        *self = next;
+        self.cols += 1;
     }
 }
 
@@ -204,6 +199,66 @@ mod tests {
         for i in 0..100 {
             assert!(m.get(i, i));
             assert!(!m.get(i, (i + 1) % 130) || i + 1 == i);
+        }
+    }
+
+    /// Random scripts of set / clear / push_row / push_col against a dense
+    /// `Vec<Vec<bool>>` model: `get`, `count_ones` and the row-major
+    /// `ones()` order must all agree with the model after every step.
+    #[test]
+    fn matches_dense_model_under_random_scripts() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (rows, mut cols) = (rng.gen_range(0..4usize), rng.gen_range(0..4usize));
+            let mut m = JoinMatrix::empty(rows, cols);
+            let mut model = vec![vec![false; cols]; rows];
+            for step in 0..120 {
+                match rng.gen_range(0..10) {
+                    0 => {
+                        m.push_row();
+                        model.push(vec![false; cols]);
+                    }
+                    1 => {
+                        m.push_col();
+                        cols += 1;
+                        model.iter_mut().for_each(|row| row.push(false));
+                    }
+                    _ if !model.is_empty() && cols > 0 => {
+                        let (r, c) = (rng.gen_range(0..model.len()), rng.gen_range(0..cols));
+                        let v = rng.gen_range(0..3) > 0;
+                        m.set(r, c, v);
+                        model[r][c] = v;
+                    }
+                    _ => {}
+                }
+                assert_eq!(
+                    (m.rows(), m.cols()),
+                    (model.len(), cols),
+                    "seed {seed} step {step}"
+                );
+                let want: Vec<(usize, usize)> = model
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(r, row)| {
+                        row.iter()
+                            .enumerate()
+                            .filter_map(move |(c, &b)| b.then_some((r, c)))
+                    })
+                    .collect();
+                assert_eq!(
+                    m.ones().collect::<Vec<_>>(),
+                    want,
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(m.count_ones(), want.len(), "seed {seed} step {step}");
+                for (r, row) in model.iter().enumerate() {
+                    for (c, &b) in row.iter().enumerate() {
+                        assert_eq!(m.get(r, c), b, "seed {seed} step {step} ({r},{c})");
+                    }
+                }
+            }
         }
     }
 }

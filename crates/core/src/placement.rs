@@ -223,17 +223,24 @@ impl Placement {
     }
 
     /// Remove and return all replicas of a pair (undeployment, §3.5).
+    ///
+    /// A pair's replicas form one contiguous run — every placement this
+    /// crate builds appends them together, and debug builds check it — so
+    /// the run is drained in place and the remaining replicas keep their
+    /// order.
     pub fn remove_pair(&mut self, pair: PairId) -> Vec<PlacedReplica> {
-        let mut removed = Vec::new();
-        self.replicas.retain(|r| {
-            if r.pair == pair {
-                removed.push(r.clone());
-                false
-            } else {
-                true
-            }
-        });
-        removed
+        let Some(start) = self.replicas.iter().position(|r| r.pair == pair) else {
+            return Vec::new();
+        };
+        let end = self.replicas[start..]
+            .iter()
+            .position(|r| r.pair != pair)
+            .map_or(self.replicas.len(), |len| start + len);
+        debug_assert!(
+            self.replicas[end..].iter().all(|r| r.pair != pair),
+            "replicas of {pair:?} are not contiguous"
+        );
+        self.replicas.drain(start..end).collect()
     }
 }
 

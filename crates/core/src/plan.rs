@@ -210,4 +210,40 @@ mod tests {
     fn negative_selectivity_rejected() {
         let _ = sample_query().with_selectivity(-1.0);
     }
+
+    /// `by_key(..).resolve()` over mixed, repeated and missing keys equals
+    /// a brute-force L×R enumeration in row-major order, pair ids included.
+    #[test]
+    fn by_key_resolve_matches_brute_force_enumeration() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..60 {
+            let (nl, nr) = (rng.gen_range(0..9usize), rng.gen_range(0..9usize));
+            let mut stream = |i: usize| {
+                // Keys from a small range so they repeat; some streams
+                // carry none.
+                match rng.gen_range(0..6u32) {
+                    0 => StreamSpec::new(NodeId(i as u32), 1.0),
+                    k => StreamSpec::keyed(NodeId(i as u32), 1.0, k),
+                }
+            };
+            let left: Vec<StreamSpec> = (0..nl).map(&mut stream).collect();
+            let right: Vec<StreamSpec> = (nl..nl + nr).map(&mut stream).collect();
+            let mut want = Vec::new();
+            for (l, ls) in left.iter().enumerate() {
+                for (r, rs) in right.iter().enumerate() {
+                    if ls.key.is_some() && ls.key == rs.key {
+                        want.push(JoinPair {
+                            id: PairId(want.len() as u32),
+                            left: l as u32,
+                            right: r as u32,
+                        });
+                    }
+                }
+            }
+            let q = JoinQuery::by_key(left, right, NodeId(99));
+            assert_eq!(q.resolve().pairs, want);
+        }
+    }
 }

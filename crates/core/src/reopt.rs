@@ -5,10 +5,11 @@
 //! event below re-runs only Phase III, and only for the affected pairs:
 //!
 //! * **Topology changes** — adding a worker embeds one coordinate against
-//!   a fixed-size neighbor set (constant time) and updates the search
-//!   index; removing a node undeploys and re-places just the replicas it
-//!   hosted; adding/removing a source extends/prunes the join matrix and
-//!   (re)solves only the affected sub-branch.
+//!   a fixed-size neighbor set (constant time: neighbors are drawn by rank
+//!   without copying the cost space) and updates the search index;
+//!   removing a node undeploys and re-places just the replicas it hosted;
+//!   adding/removing a source extends/prunes the join matrix (one row or
+//!   column, constant time) and (re)solves only the affected sub-branch.
 //! * **Workload changes** — data-rate or capacity changes undeploy the
 //!   affected replicas and re-run physical placement for them; the
 //!   virtual placement is skipped because it does not depend on rates.
@@ -317,18 +318,7 @@ impl Nova {
         // hosted (releasing capacity on their *other* hosts), drop it
         // from the index/space, zero its budget, then re-place the
         // affected pairs elsewhere.
-        let affected: Vec<PairId> = {
-            let mut v: Vec<PairId> = self
-                .placement
-                .replicas
-                .iter()
-                .filter(|r| r.node == id)
-                .map(|r| r.pair)
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let affected = self.pairs_hosted_on(id);
         for pid in &affected {
             for rep in self.placement.remove_pair(*pid) {
                 if rep.node != id {
@@ -402,18 +392,7 @@ impl Nova {
         if id.idx() >= self.topology.len() {
             return Err(ReoptError::UnknownNode(id));
         }
-        let affected: Vec<PairId> = {
-            let mut v: Vec<PairId> = self
-                .placement
-                .replicas
-                .iter()
-                .filter(|r| r.node == id)
-                .map(|r| r.pair)
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let affected = self.pairs_hosted_on(id);
         // Undeploy hosted replicas of the affected pairs first so the new
         // budget starts clean on this node.
         let mut outcome = ReoptOutcome::default();
@@ -461,24 +440,27 @@ impl Nova {
         if self.topology.node(id).role != NodeRole::Sink {
             self.index.update_coord(id, coord);
         }
-        let affected: Vec<PairId> = {
-            let mut v: Vec<PairId> = self
-                .placement
-                .replicas
-                .iter()
-                .filter(|r| r.node == id)
-                .map(|r| r.pair)
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let affected = self.pairs_hosted_on(id);
         let mut outcome = ReoptOutcome::default();
         for pid in affected {
             self.replace_pair(pid)?;
             outcome.replaced_pairs.push(pid);
         }
         Ok(outcome)
+    }
+
+    /// Pairs with a replica on `id`, ascending and without repeats.
+    fn pairs_hosted_on(&self, id: NodeId) -> Vec<PairId> {
+        let mut v: Vec<PairId> = self
+            .placement
+            .replicas
+            .iter()
+            .filter(|r| r.node == id)
+            .map(|r| r.pair)
+            .collect();
+        v.sort_unstable();
+        v.dedup();
+        v
     }
 
     /// Undeploy and re-place one pair (Phase III only).

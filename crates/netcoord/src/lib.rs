@@ -37,6 +37,8 @@ use nova_topology::NodeId;
 #[derive(Debug, Clone)]
 pub struct CostSpace {
     coords: Vec<Option<Coord>>,
+    /// Ids of the `None` slots in `coords`, ascending.
+    holes: Vec<u32>,
     dim: usize,
 }
 
@@ -46,6 +48,7 @@ impl CostSpace {
         let dim = coords.first().map_or(2, Coord::dim);
         CostSpace {
             coords: coords.into_iter().map(Some).collect(),
+            holes: Vec::new(),
             dim,
         }
     }
@@ -79,16 +82,45 @@ impl CostSpace {
     /// Insert or update a node's coordinate, growing the table if needed.
     pub fn set_coord(&mut self, id: NodeId, coord: Coord) {
         if id.idx() >= self.coords.len() {
+            self.holes.extend(self.coords.len() as u32..id.0);
             self.coords.resize(id.idx() + 1, None);
+        } else if let Ok(at) = self.holes.binary_search(&id.0) {
+            self.holes.remove(at);
         }
         self.coords[id.idx()] = Some(coord);
     }
 
     /// Tombstone a node (e.g. after failure or departure, §3.5).
     pub fn remove(&mut self, id: NodeId) {
-        if id.idx() < self.coords.len() {
-            self.coords[id.idx()] = None;
+        if let Some(slot @ Some(_)) = self.coords.get_mut(id.idx()) {
+            *slot = None;
+            let at = self.holes.partition_point(|&h| h < id.0);
+            self.holes.insert(at, id.0);
         }
+    }
+
+    /// Number of live nodes.
+    pub(crate) fn live_len(&self) -> usize {
+        self.coords.len() - self.holes.len()
+    }
+
+    /// The `k`-th live node id in id order (`live().0[k]`), found by a
+    /// binary search over the tombstones instead of a scan of the table.
+    pub(crate) fn nth_live(&self, k: usize) -> NodeId {
+        debug_assert!(k < self.live_len(), "live index {k} out of range");
+        // `holes[i] - i` live ids precede the i-th hole, a non-decreasing
+        // sequence: the answer skips exactly the holes with at most `k`
+        // live ids before them.
+        let (mut lo, mut hi) = (0, self.holes.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.holes[mid] as usize - mid <= k {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        NodeId((k + lo) as u32)
     }
 
     /// Iterate `(id, coord)` over live nodes.
@@ -151,5 +183,31 @@ mod tests {
         let (ids, cs) = s.live();
         assert_eq!(ids.len(), 2);
         assert_eq!(cs.len(), 2);
+    }
+
+    /// Over random tombstone and grow patterns the tombstone list keeps
+    /// `live_len` and `nth_live` equal to the materialized `live()` ids.
+    #[test]
+    fn nth_live_matches_materialized_live_ids() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        for seed in 0..30u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..12);
+            let mut s = CostSpace::new((0..n).map(|i| Coord::xy(i as f64, 0.0)).collect());
+            for _ in 0..60 {
+                let id = NodeId(rng.gen_range(0..s.len() as u32 + 4));
+                if rng.gen_range(0..2) == 0 {
+                    s.remove(id);
+                } else {
+                    s.set_coord(id, Coord::xy(id.0 as f64, 1.0));
+                }
+                let (ids, _) = s.live();
+                assert_eq!(s.live_len(), ids.len(), "seed {seed}");
+                for (k, &id) in ids.iter().enumerate() {
+                    assert_eq!(s.nth_live(k), id, "seed {seed} rank {k}");
+                }
+            }
+        }
     }
 }

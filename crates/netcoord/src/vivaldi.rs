@@ -212,8 +212,11 @@ impl Vivaldi {
 /// [`Vivaldi`] system: sample `config.neighbors` live nodes, measure RTTs
 /// through `provider`, and relax only the new coordinate (existing
 /// coordinates stay fixed). This is the constant-time incremental
-/// embedding Nova's re-optimization relies on (§3.5) and works regardless
-/// of how the original space was computed (Vivaldi, MDS, ground truth).
+/// embedding Nova's re-optimization relies on (§3.5): neighbors are drawn
+/// by rank among the live nodes without copying the space, so the cost
+/// does not grow with the population (only logarithmically with the
+/// number of removed nodes). It works regardless of how the original
+/// space was computed (Vivaldi, MDS, ground truth).
 pub fn embed_new_node(
     space: &CostSpace,
     provider: &impl LatencyProvider,
@@ -221,32 +224,35 @@ pub fn embed_new_node(
     config: &VivaldiConfig,
 ) -> Coord {
     let mut rng = StdRng::seed_from_u64(config.seed ^ (new_id.0 as u64).wrapping_mul(0x9E37));
-    let (ids, coords) = space.live();
-    if ids.is_empty() {
+    let live = space.live_len();
+    if live == 0 {
         return random_coord(config.dim, &mut rng);
     }
-    let m = config.neighbors.min(ids.len());
-    // Sample m distinct live neighbors.
-    let mut picked: Vec<usize> = Vec::with_capacity(m);
-    while picked.len() < m {
-        let cand = rng.gen_range(0..ids.len());
-        if ids[cand] != new_id && !picked.contains(&cand) {
-            picked.push(cand);
+    let m = config.neighbors.min(live);
+    // Sample m distinct live neighbors, drawn by their rank in id order.
+    let mut anchors: Vec<NodeId> = Vec::with_capacity(m);
+    while anchors.len() < m {
+        let id = space.nth_live(rng.gen_range(0..live));
+        if id != new_id && !anchors.contains(&id) {
+            anchors.push(id);
         }
-        if picked.len() + 1 >= ids.len() {
+        if anchors.len() + 1 >= live {
             break;
         }
     }
-    if picked.is_empty() {
+    if anchors.is_empty() {
         return random_coord(config.dim, &mut rng);
     }
-    let anchor_coords: Vec<Coord> = picked.iter().map(|&i| coords[i]).collect();
+    let anchor_coords: Vec<Coord> = anchors
+        .iter()
+        .map(|&id| space.coord(id).expect("a live id has a coordinate"))
+        .collect();
     let mut coord =
         Coord::centroid(&anchor_coords).unwrap_or_else(|| random_coord(config.dim, &mut rng));
     let mut err = 1.0f64;
     for _ in 0..config.rounds.max(16) {
-        for (slot, &i) in picked.iter().enumerate() {
-            let rtt = provider.rtt(new_id, ids[i]);
+        for (slot, &id) in anchors.iter().enumerate() {
+            let rtt = provider.rtt(new_id, id);
             if !rtt.is_finite() || rtt <= 0.0 {
                 continue;
             }
@@ -434,5 +440,93 @@ mod tests {
         let space = v.into_cost_space();
         assert_eq!(space.coord(NodeId(0)), Some(c0));
         assert_eq!(space.len(), 20);
+    }
+
+    /// The body `embed_new_node` had when it drew neighbors from a
+    /// materialized copy of `space.live()`: the reference its rank-based
+    /// draw must reproduce bit for bit.
+    fn embed_new_node_by_copy(
+        space: &CostSpace,
+        provider: &impl LatencyProvider,
+        new_id: NodeId,
+        config: &VivaldiConfig,
+    ) -> Coord {
+        let mut rng = StdRng::seed_from_u64(config.seed ^ (new_id.0 as u64).wrapping_mul(0x9E37));
+        let (ids, coords) = space.live();
+        if ids.is_empty() {
+            return random_coord(config.dim, &mut rng);
+        }
+        let m = config.neighbors.min(ids.len());
+        let mut picked: Vec<usize> = Vec::with_capacity(m);
+        while picked.len() < m {
+            let cand = rng.gen_range(0..ids.len());
+            if ids[cand] != new_id && !picked.contains(&cand) {
+                picked.push(cand);
+            }
+            if picked.len() + 1 >= ids.len() {
+                break;
+            }
+        }
+        if picked.is_empty() {
+            return random_coord(config.dim, &mut rng);
+        }
+        let anchor_coords: Vec<Coord> = picked.iter().map(|&i| coords[i]).collect();
+        let mut coord =
+            Coord::centroid(&anchor_coords).unwrap_or_else(|| random_coord(config.dim, &mut rng));
+        let mut err = 1.0f64;
+        for _ in 0..config.rounds.max(16) {
+            for (slot, &i) in picked.iter().enumerate() {
+                let rtt = provider.rtt(new_id, ids[i]);
+                if !rtt.is_finite() || rtt <= 0.0 {
+                    continue;
+                }
+                let remote = anchor_coords[slot];
+                let w = err / (err + 0.3);
+                let dist = coord.dist(&remote);
+                let sample_err = (dist - rtt).abs() / rtt;
+                err = (sample_err * config.ce * w + err * (1.0 - config.ce * w)).clamp(0.0, 2.0);
+                let dir = match remote.direction_to(&coord, 1e-9) {
+                    Some(d) => d,
+                    None => random_unit(config.dim, &mut rng),
+                };
+                coord += dir * (config.cc * w * (rtt - dist));
+            }
+        }
+        coord
+    }
+
+    #[test]
+    fn embed_new_node_matches_the_live_copy_reference() {
+        let rtt = planar_rtt(48, 8);
+        let mut rng = StdRng::seed_from_u64(9);
+        for round in 0..25 {
+            let n = rng.gen_range(0..40);
+            let mut space = CostSpace::new(
+                (0..n)
+                    .map(|_| Coord::xy(rng.gen_range(0.0..50.0), rng.gen_range(0.0..50.0)))
+                    .collect(),
+            );
+            // Tombstones, and growth past the end that leaves gaps.
+            for _ in 0..rng.gen_range(0..30) {
+                let id = NodeId(rng.gen_range(0..44));
+                if rng.gen_range(0..3) == 0 {
+                    space.set_coord(id, Coord::xy(rng.gen_range(0.0..50.0), 0.0));
+                } else {
+                    space.remove(id);
+                }
+            }
+            let config = VivaldiConfig {
+                neighbors: rng.gen_range(1..12),
+                rounds: 16,
+                seed: round,
+                ..Default::default()
+            };
+            for new_id in [0, 3, 17, 39, 47].map(NodeId) {
+                let got = embed_new_node(&space, &rtt, new_id, &config);
+                let want = embed_new_node_by_copy(&space, &rtt, new_id, &config);
+                let bits = |c: &Coord| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "round {round}, {new_id}");
+            }
+        }
     }
 }

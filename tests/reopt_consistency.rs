@@ -7,13 +7,14 @@
 //! and workers, rate changes, capacity changes, coordinate drift) and
 //! validates after every step that the optimizer's availability tracking
 //! matches a from-scratch recomputation and that every live pair remains
-//! placed. The exec-side tests then pin the §3.5 sim/exec contract: a
+//! placed, and that each pair's replicas stay one contiguous run (the
+//! layout `Placement::remove_pair` drains in place). The exec-side tests then pin the §3.5 sim/exec contract: a
 //! mid-run `PlanSwitch` through `ExecHandle::apply` yields
 //! `emitted`/`matched`/`delivered` identical to
 //! `simulate_reconfigured`, unsharded and sharded.
 
 use nova::core::baselines::host_based;
-use nova::core::{Nova, NovaConfig, ReoptStep, Side};
+use nova::core::{Nova, NovaConfig, PairId, Placement, ReoptStep, Side};
 use nova::netcoord::{Vivaldi, VivaldiConfig};
 use nova::runtime::{simulate_reconfigured, Dataflow, SimConfig};
 use nova::topology::{LatencyProvider, NodeId, SyntheticParams, SyntheticTopology};
@@ -43,6 +44,44 @@ impl<P: LatencyProvider> LatencyProvider for Grown<'_, P> {
             self.inner.rtt(a, b)
         }
     }
+}
+
+/// Each pair's replicas form one contiguous run of `replicas`.
+fn assert_pair_runs_contiguous(p: &Placement, when: &str) {
+    let mut seen = std::collections::HashSet::new();
+    let mut prev = None;
+    for r in &p.replicas {
+        if prev != Some(r.pair) {
+            assert!(
+                seen.insert(r.pair),
+                "{when}: replicas of {:?} split into two runs",
+                r.pair
+            );
+            prev = Some(r.pair);
+        }
+    }
+}
+
+/// `remove_pair` returns what a `retain` walk over every replica removes,
+/// and leaves the remaining replicas in the same order.
+fn assert_remove_pair_matches_retain(p: &Placement, pair: PairId) {
+    let mut drained = p.clone();
+    let got = drained.remove_pair(pair);
+    let mut want = Vec::new();
+    let mut kept = p.replicas.clone();
+    kept.retain(|r| {
+        if r.pair == pair {
+            want.push(r.clone());
+            false
+        } else {
+            true
+        }
+    });
+    assert_eq!(got, want, "removed replicas of {pair:?}");
+    assert_eq!(
+        drained.replicas, kept,
+        "remaining order after removing {pair:?}"
+    );
 }
 
 #[test]
@@ -77,6 +116,7 @@ fn random_event_battery_keeps_accounting_exact() {
     nova.optimize(w.query.clone());
     nova.validate_accounting()
         .expect("fresh placement consistent");
+    assert_pair_runs_contiguous(nova.placement(), "optimize");
 
     let grown = Grown {
         inner: &syn.rtt,
@@ -119,6 +159,98 @@ fn random_event_battery_keeps_accounting_exact() {
         }
         nova.validate_accounting()
             .unwrap_or_else(|e| panic!("accounting drifted after step {step}: {e}"));
+        assert_pair_runs_contiguous(nova.placement(), &format!("step {step}"));
+    }
+}
+
+/// Every `ReoptStep` kind, applied in turn through `apply_step`, keeps
+/// each pair's replicas one contiguous run, and `remove_pair` on the
+/// result agrees with a `retain`-based reference (first, middle, last
+/// and an absent pair).
+#[test]
+fn every_step_kind_keeps_pair_runs_contiguous() {
+    let n = 300;
+    let syn = SyntheticTopology::generate(&SyntheticParams {
+        n,
+        seed: 5,
+        ..Default::default()
+    });
+    let w = synthetic_opp(
+        &syn.topology,
+        &OppParams {
+            seed: 5,
+            ..OppParams::default()
+        },
+    );
+    let vivaldi_cfg = VivaldiConfig {
+        neighbors: 16,
+        rounds: 24,
+        ..VivaldiConfig::default()
+    };
+    let space = Vivaldi::embed(&syn.rtt, vivaldi_cfg).into_cost_space();
+    let mut nova = Nova::with_cost_space(
+        w.topology.clone(),
+        space,
+        NovaConfig {
+            vivaldi: vivaldi_cfg,
+            ..NovaConfig::default()
+        },
+    );
+    nova.optimize(w.query.clone());
+    assert_pair_runs_contiguous(nova.placement(), "optimize");
+    let grown = Grown {
+        inner: &syn.rtt,
+        base: n,
+        anchor: w.query.left[0].node,
+    };
+    let mut rng = StdRng::seed_from_u64(17);
+    let streams = w.query.left.len() as u32;
+    for step in 0..36 {
+        let hosts = nova.placement().nodes_used();
+        let host = hosts[rng.gen_range(0..hosts.len())];
+        let event = match step % 6 {
+            0 => ReoptStep::AddWorker {
+                capacity: rng.gen_range(50.0..400.0),
+                label: format!("w{step}"),
+            },
+            1 => ReoptStep::AddSource {
+                side: if step % 4 == 1 {
+                    Side::Right
+                } else {
+                    Side::Left
+                },
+                rate: 40.0,
+                key: rng.gen_range(0..streams),
+                capacity: 150.0,
+                label: format!("s{step}"),
+            },
+            2 => ReoptStep::RemoveNode { node: host },
+            3 => ReoptStep::ChangeRate {
+                side: Side::Left,
+                stream: rng.gen_range(0..streams),
+                new_rate: rng.gen_range(5.0..150.0),
+            },
+            4 => ReoptStep::ChangeCapacity {
+                node: host,
+                new_capacity: rng.gen_range(50.0..500.0),
+            },
+            _ => ReoptStep::UpdateCoordinates { node: host },
+        };
+        nova.apply_step(&grown, &event)
+            .unwrap_or_else(|e| panic!("step {step} {event:?}: {e}"));
+        let when = format!("step {step} {event:?}");
+        assert_pair_runs_contiguous(nova.placement(), &when);
+        nova.validate_accounting()
+            .unwrap_or_else(|e| panic!("{when}: {e}"));
+        let reps = &nova.placement().replicas;
+        for pair in [
+            reps[0].pair,
+            reps[reps.len() / 2].pair,
+            reps[reps.len() - 1].pair,
+            PairId(u32::MAX),
+        ] {
+            assert_remove_pair_matches_retain(nova.placement(), pair);
+        }
     }
 }
 
